@@ -28,6 +28,7 @@ from .geometry import Face, LatticeSimplex, interior_points, relint_points, volu
 from .io import (
     DataIntegrityError,
     ParseError,
+    _rat,
     format_census,
     format_simplex,
     ingest_census,
@@ -42,12 +43,38 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 
 
-def _rat(x) -> str:
-    return str(Fraction(x))
+class UsageError(Exception):
+    """Command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _int_at_least(low):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}"
+            )
+        return value
+
+    return parse
 
 
 def _read_simplices(path) -> list[LatticeSimplex]:
-    text = sys.stdin.read() if path in (None, "-") else open(path).read()
+    if path in (None, "-"):
+        text = sys.stdin.read()
+    else:
+        with open(path) as fh:
+            text = fh.read()
     records = parse_simplices(text)
     if not records:
         raise ParseError("no simplex records in input")
@@ -220,7 +247,7 @@ def cmd_report(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latticebound",
         description="Exact volume bounds for lattice simplices.",
     )
@@ -235,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a named simplex")
     p.add_argument("what", choices=["zpw", "t", "exceptional", "lift"])
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--dim", type=_int_at_least(1), default=3)
+    p.add_argument("--k", type=_int_at_least(0), default=1)
     add_input(p)
     p.set_defaults(func=cmd_construct)
 
@@ -299,11 +326,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataIntegrityError, ApplicabilityError, ValueError) as exc:

@@ -37,10 +37,15 @@ def _clear_denominators(m):
     return rows, scale
 
 
-def det(m) -> Fraction:
-    """Exact determinant via Bareiss fraction-free elimination."""
-    n = _check_square(m)
-    a, scale = _clear_denominators(m)
+def _bareiss(a, n) -> int:
+    """Bareiss fraction-free forward elimination, in place.
+
+    Eliminates below the diagonal of the first n columns of the integer
+    rows ``a`` (extra columns, such as a right-hand side, go along).
+    Returns the sign of the row permutation, or 0 when a column has no
+    pivot.
+    """
+    width = len(a[0])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -51,12 +56,20 @@ def det(m) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
+    return sign
+
+
+def det(m) -> Fraction:
+    """Exact determinant via Bareiss fraction-free elimination."""
+    n = _check_square(m)
+    a, scale = _clear_denominators(m)
+    sign = _bareiss(a, n)
     return Fraction(sign * a[n - 1][n - 1], scale)
 
 
@@ -67,22 +80,7 @@ def solve(m, rhs) -> list[Fraction]:
         raise LinAlgError("right-hand side has wrong length")
     aug = [list(row) + [r] for row, r in zip(m, rhs)]
     a, _ = _clear_denominators(aug)
-    # Bareiss forward elimination on the augmented matrix.
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    break
-            else:
-                raise LinAlgError("matrix is singular")
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    if a[n - 1][n - 1] == 0:
+    if _bareiss(a, n) == 0 or a[n - 1][n - 1] == 0:
         raise LinAlgError("matrix is singular")
     x = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):

@@ -1,23 +1,22 @@
 """Lattice simplices and convex lattice polygons over exact rationals.
 
-Provides volumes, barycentric coordinates, H-representations, slices, and
-exact enumeration of interior / relative-interior lattice points.  The
-enumeration is a recursive coordinate sweep driven by Fourier-Motzkin
-bounds, so it never scans full bounding boxes (those explode doubly
-exponentially for the simplices this library cares about).
+Provides volumes, H-representations, barycentric coordinates, slices, and
+exact enumeration of interior / relative-interior lattice points.  Every
+face query derives from the one H-representation ``hrep`` of the simplex,
+whose row j is the facet opposite vertex j: a face with vertex set I has
+the rows j in I strict and the rows j not in I tight.  The enumeration is
+a recursive coordinate sweep driven by Fourier-Motzkin bounds, so it never
+scans full bounding boxes (those explode doubly exponentially for the
+simplices this library cares about).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 
-from .exact import (
-    LinAlgError,
-    det,
-    solve,
-)
+from .exact import det
 
 
 class DegeneracyError(ValueError):
@@ -265,48 +264,21 @@ def volume(s: LatticeSimplex) -> Fraction:
 def barycentric(x, f: Face) -> list[Fraction]:
     """Barycentric coordinates of x with respect to the face f.
 
-    x must lie in aff(f), which is checked exactly.
+    Row j of ``hrep`` is the facet opposite vertex j, so the coordinate
+    of vertex j is (b_j - a_j x) / (b_j - a_j v_j).  x lies in aff(f)
+    iff it is on every facet through f, which is checked exactly.
     """
-    w = f.vertices
-    m = len(w) - 1
-    d = f.parent.dim
+    h = hrep(f.parent)
     x = [Fraction(c) for c in x]
-    # Rows: affine constraint plus the d coordinate equations.
-    full = [[Fraction(1)] * (m + 1)] + [
-        [Fraction(w[j][i]) for j in range(m + 1)] for i in range(d)
-    ]
-    rhs = [Fraction(1)] + x
-    pivot_rows = _independent_rows(full, m + 1)
-    if len(pivot_rows) < m + 1:
-        raise DegeneracyError("face vertices are affinely dependent")
-    sub = [full[r] for r in pivot_rows]
-    sub_rhs = [rhs[r] for r in pivot_rows]
-    beta = solve(sub, sub_rhs)
-    for r in range(d + 1):
-        if r in pivot_rows:
-            continue
-        if sum(full[r][j] * beta[j] for j in range(m + 1)) != rhs[r]:
+    betas = []
+    for j, (aj, bj) in enumerate(zip(h.a, h.b)):
+        slack = bj - sum(c * xc for c, xc in zip(aj, x))
+        if j in f.vertex_indices:
+            vj = f.parent.vertices[j]
+            betas.append(slack / (bj - sum(c * vc for c, vc in zip(aj, vj))))
+        elif slack != 0:
             raise HullMembershipError("point is outside the affine hull")
-    return beta
-
-
-def _independent_rows(mat, target_rank):
-    """Indices of a maximal independent row subset (up to target_rank)."""
-    chosen = []
-    basis = []  # echelonized copies of chosen rows
-    for r, row in enumerate(mat):
-        vec = [Fraction(c) for c in row]
-        for b in basis:
-            p = next(i for i, c in enumerate(b) if c != 0)
-            if vec[p] != 0:
-                fac = vec[p] / b[p]
-                vec = [vc - fac * bc for vc, bc in zip(vec, b)]
-        if any(c != 0 for c in vec):
-            chosen.append(r)
-            basis.append(vec)
-            if len(chosen) == target_rank:
-                break
-    return chosen
+    return betas
 
 
 def facets(s: LatticeSimplex) -> list[Face]:
@@ -346,11 +318,19 @@ def _facet_inequality(s: LatticeSimplex, omit: int):
 
 
 def hrep(s: LatticeSimplex) -> HalfspaceSystem:
-    """d+1 inequalities; x in s iff all hold, x in int(s) iff all strict."""
-    rows = [_facet_inequality(s, i) for i in range(s.dim + 1)]
-    return HalfspaceSystem(
-        tuple(a for a, _ in rows), tuple(b for _, b in rows)
-    )
+    """d+1 inequalities; x in s iff all hold, x in int(s) iff all strict.
+
+    Row j is the facet opposite vertex j.  Computed once per simplex and
+    kept on the (frozen) instance.
+    """
+    h = s.__dict__.get("_hrep")
+    if h is None:
+        rows = [_facet_inequality(s, i) for i in range(s.dim + 1)]
+        h = HalfspaceSystem(
+            tuple(a for a, _ in rows), tuple(b for _, b in rows)
+        )
+        object.__setattr__(s, "_hrep", h)
+    return h
 
 
 def interior_points(s: LatticeSimplex, limit=None) -> list[tuple[int, ...]]:
@@ -362,59 +342,21 @@ def interior_points(s: LatticeSimplex, limit=None) -> list[tuple[int, ...]]:
 def relint_points(f: Face, limit=None) -> list[tuple[int, ...]]:
     """Lattice points in the relative interior of the face f.
 
-    The relative interior of a dimension-0 face is the vertex itself.
+    The facets opposite the vertices of f are strict, the facets through
+    f are equalities.  The relative interior of a dimension-0 face is the
+    vertex itself.
     """
-    m = f.dim
-    if m == 0:
+    if f.dim == 0:
         return [tuple(f.vertices[0])]
-    d = f.parent.dim
-    w = f.vertices
-    full = [[Fraction(1)] * (m + 1)] + [
-        [Fraction(w[j][i]) for j in range(m + 1)] for i in range(d)
-    ]
-    pivot_rows = _independent_rows(full, m + 1)
-    if len(pivot_rows) < m + 1:
-        raise DegeneracyError("face vertices are affinely dependent")
-    sub = [full[r] for r in pivot_rows]
-    # beta(x) = sub^{-1} y_R where y = (1, x_1, ..., x_d).  Express each
-    # beta_j as an affine function of x by solving against unit vectors.
-    from .exact import mat_inverse
-
-    inv = mat_inverse(sub)
-    # beta_j(x) = sum_r inv[j][r] * y_{pivot_rows[r]}
-    beta_lin = []  # (coeffs over x, constant)
-    for j in range(m + 1):
-        coeffs = [Fraction(0)] * d
-        const = Fraction(0)
-        for r, pr in enumerate(pivot_rows):
-            if pr == 0:
-                const += inv[j][r]
-            else:
-                coeffs[pr - 1] += inv[j][r]
-        beta_lin.append((coeffs, const))
+    h = hrep(f.parent)
     rows = []
-    # Strict positivity of each barycentric coordinate: -beta_j(x) < 0.
-    for coeffs, const in beta_lin:
-        rows.append((tuple(-c for c in coeffs), const, True))
-    # Affine-hull consistency for non-pivot coordinate rows (equalities).
-    for r in range(d + 1):
-        if r in pivot_rows:
-            continue
-        coeffs = [Fraction(0)] * d
-        rhs = Fraction(0)
-        if r == 0:
-            rhs = Fraction(1)
+    for j, (aj, bj) in enumerate(zip(h.a, h.b)):
+        if j in f.vertex_indices:
+            rows.append((aj, bj, True))
         else:
-            coeffs[r - 1] = Fraction(-1)
-        for j in range(m + 1):
-            bc, bconst = beta_lin[j]
-            fac = full[r][j]
-            coeffs = [c + fac * bcj for c, bcj in zip(coeffs, bc)]
-            rhs -= fac * bconst
-        # coeffs . x == rhs  (note rhs sign assembled above)
-        rows.append((tuple(coeffs), rhs, False))
-        rows.append((tuple(-c for c in coeffs), -rhs, False))
-    return integer_points(rows, d, limit=limit)
+            rows.append((aj, bj, False))
+            rows.append((tuple(-c for c in aj), -bj, False))
+    return integer_points(rows, f.parent.dim, limit=limit)
 
 
 def slice_system(s: LatticeSimplex, t) -> HalfspaceSystem:

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .bounds import qualifying_facets
 from .constructions import zpw_simplex
-from .geometry import LatticeSimplex, interior_points, relint_points, facets
+from .geometry import LatticeSimplex, interior_points
 from .unimodular import canonical_form, equivalent
 
 
@@ -74,13 +75,9 @@ def enumerate_triangles(k: int, cap: int | None = None) -> TriangleCensus:
     return TriangleCensus(k, reps, max_area, maximizers, cap)
 
 
-def _has_one_relint_edge(tri: LatticeSimplex) -> bool:
-    return any(len(relint_points(f, limit=1)) == 1 for f in facets(tri))
-
-
 def filter_one_relint_facet(census: TriangleCensus) -> TriangleCensus:
     """Keep triangles with an edge carrying exactly one relint lattice point."""
-    reps = tuple(t for t in census.representatives if _has_one_relint_edge(t))
+    reps = tuple(t for t in census.representatives if qualifying_facets(t))
     areas = [
         Fraction(t.vertices[1][0] * t.vertices[2][1], 2) for t in reps
     ]

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import latticebound
 from latticebound import format_simplex, zpw_simplex
 from latticebound.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 
@@ -222,6 +227,33 @@ class TestUsage:
         code, _, err = run(["count", "interior"], stdin="2\n0 0\n2 0\n",
                            capsys=capsys, monkeypatch=monkeypatch)
         assert code == EXIT_USAGE and "error" in err
+
+    def test_out_of_range_dimension_is_usage(self, capsys):
+        code, out, err = run(["construct", "zpw", "--dim", "0"], capsys=capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--dim" in err and "Traceback" not in err
+
+    def test_unreadable_input_is_usage(self, capsys, tmp_path):
+        code, out, err = run(["count", "interior", "--input", str(tmp_path)],
+                             capsys=capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = str(Path(latticebound.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    argv = ["construct", "t", "--dim", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticebound", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    code, out, _ = run(argv, capsys=capsys)
+    assert proc.returncode == code == EXIT_OK
+    assert proc.stdout == out and proc.stderr == ""
 
 
 def test_console_script_installed():

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latticebound import (
     DegeneracyError,
@@ -16,6 +19,7 @@ from latticebound import (
     polygon_counts,
     relint_points,
     slice_system,
+    solve,
     volume,
     zpw_simplex,
 )
@@ -178,6 +182,61 @@ class TestRelintPoints:
             # every relint point has strictly positive coordinates
             for p in pts:
                 assert all(b > 0 for b in barycentric(p, f))
+
+
+def oracle_barycentric(x, verts):
+    """Coordinates lam with [1...1; V] lam = [1; x], or None off aff(V).
+
+    Solves the normal equations of the (d+1) x (m+1) system with
+    ``exact.solve`` and keeps the solution only if it solves the system
+    itself; independent of ``hrep``.
+    """
+    a = [[1] * len(verts)] + [list(col) for col in zip(*verts)]
+    y = [1] + list(x)
+    cols = range(len(verts))
+    gram = [[sum(r[i] * r[j] for r in a) for j in cols] for i in cols]
+    lam = solve(gram, [sum(r[i] * yr for r, yr in zip(a, y)) for i in cols])
+    if any(sum(c * l for c, l in zip(r, lam)) != yr for r, yr in zip(a, y)):
+        return None
+    return lam
+
+
+def all_faces(s):
+    n = s.dim + 1
+    for size in range(1, n + 1):
+        for idx in combinations(range(n), size):
+            yield Face(s, idx)
+
+
+small_simplex = st.integers(1, 3).flatmap(
+    lambda d: st.lists(
+        st.tuples(*[st.integers(-3, 3)] * d), min_size=d + 1, max_size=d + 1
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_simplex)
+def test_face_queries_match_box_scan_oracle(verts):
+    try:
+        s = LatticeSimplex(verts)
+    except DegeneracyError:
+        assume(False)
+    for f in all_faces(s):
+        w = f.vertices
+        box = [range(min(c), max(c) + 1) for c in zip(*w)]
+        relint = []
+        for x in product(*box):
+            lam = oracle_barycentric(x, w)
+            if lam is None:
+                with pytest.raises(HullMembershipError):
+                    barycentric(x, f)
+                continue
+            assert barycentric(x, f) == lam
+            if all(c > 0 for c in lam):
+                relint.append(x)
+        assert relint_points(f) == relint
+        assert relint_points(f, limit=0) == relint[:1]
 
 
 class TestSlice:
