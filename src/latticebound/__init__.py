@@ -35,6 +35,7 @@ from .geometry import (
     HullMembershipError,
     LatticePolygon,
     LatticeSimplex,
+    VerificationError,
     barycentric,
     collinear,
     facets,

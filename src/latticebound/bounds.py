@@ -20,6 +20,7 @@ from .geometry import (
     Face,
     LatticeSimplex,
     barycentric,
+    check,
     collinear,
     facets,
     integer_points,
@@ -147,7 +148,7 @@ def facet_bound(s: LatticeSimplex, f: Face) -> FacetBoundResult:
         prod *= b
     bound = Fraction(k + 1) / (factorial(d) * prod)
     vol = volume(s)
-    assert vol <= bound
+    check(vol <= bound, "volume exceeds the facet bound")
     return FacetBoundResult(f, x, betas, bound, vol == bound)
 
 
@@ -195,7 +196,7 @@ def pikhurko(s: LatticeSimplex) -> PikhurkoResult:
         per_point[x] = PointBound(tuple(betas), bound)
         if nu is None or bound < nu:
             nu = bound
-    assert volume(s) <= nu
+    check(volume(s) <= nu, "volume exceeds nu")
     return PikhurkoResult(per_point, nu)
 
 
@@ -255,17 +256,21 @@ def proof_trace(s: LatticeSimplex, f: Face) -> ProofTrace:
     y_lookup = set(y_set)
     h_minus = [y for y in y_set if sum(y) < 0]
     h_zero = [y for y in y_set if sum(y) == 0]
-    assert all(tuple(-c for c in y) in y_lookup for y in y_set)
-    assert len(y_set) == 2 * len(h_minus) + len(h_zero)
-    assert len(h_zero) == 1 and all(c == 0 for c in h_zero[0])
+    check(all(tuple(-c for c in y) in y_lookup for y in y_set),
+          "box points are not o-symmetric")
+    check(len(y_set) == 2 * len(h_minus) + len(h_zero),
+          "box points do not split evenly across the hyperplane")
+    check(len(h_zero) == 1 and all(c == 0 for c in h_zero[0]),
+          "the origin is not the only box point on the hyperplane")
     b = tuple(betas)
     # Shifting the negative-side points by b lands them strictly inside
     # the standard simplex (positive coordinates, coordinate sum < 1).
     for y in h_minus:
         shifted = [yc + bc for yc, bc in zip(y, b)]
-        assert all(c > 0 for c in shifted) and sum(shifted) < 1
+        check(all(c > 0 for c in shifted) and sum(shifted) < 1,
+              "a shifted box point is not inside the standard simplex")
     k = len(interior_points(s))
-    assert len(y_set) <= 2 * k + 1
+    check(len(y_set) <= 2 * k + 1, "more than 2k+1 box points")
     return ProofTrace(lat, b, tuple(y_set), len(h_minus), len(h_zero))
 
 

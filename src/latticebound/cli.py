@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _int_at_least(low):
+def _int_in_range(low, high=None):
     def parse(text):
         try:
             value = int(text)
@@ -63,6 +63,10 @@ def _int_at_least(low):
         if value < low:
             raise argparse.ArgumentTypeError(
                 f"must be at least {low}, got {value}"
+            )
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {high}, got {value}"
             )
         return value
 
@@ -262,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a named simplex")
     p.add_argument("what", choices=["zpw", "t", "exceptional", "lift"])
-    p.add_argument("--dim", type=_int_at_least(1), default=3)
-    p.add_argument("--k", type=_int_at_least(0), default=1)
+    p.add_argument("--dim", type=_int_in_range(1), default=3)
+    p.add_argument("--k", type=_int_in_range(0), default=1)
     add_input(p)
     p.set_defaults(func=cmd_construct)
 
@@ -293,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_canon)
 
     p = sub.add_parser("survey2d", help="triangle census")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_in_range(0), required=True)
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--filter", action="store_true",
                    help="keep only triangles with a one-relint-point edge")
@@ -302,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a theorem verification")
     p.add_argument("what", choices=["main2d"])
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_in_range(0, 3), required=True,
+                   help="at most 3 (desk-scale verification)")
     p.add_argument("--cap", type=int, default=None)
     add_json(p)
     p.set_defaults(func=cmd_verify)
@@ -326,6 +331,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        cap = getattr(args, "cap", None)
+        if cap is not None and cap < 2 * (args.k + 1):
+            raise UsageError(
+                f"{parser.prog} {args.command}: argument --cap: must be at"
+                f" least 2(k+1) = {2 * (args.k + 1)}, got {cap}"
+            )
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

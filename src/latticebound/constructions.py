@@ -6,7 +6,7 @@ import threading
 from fractions import Fraction
 from math import factorial
 
-from .geometry import Face, LatticeSimplex, barycentric, volume
+from .geometry import Face, LatticeSimplex, barycentric, check, volume
 
 
 _sylvester_cache = [2]
@@ -25,7 +25,7 @@ def sylvester(i: int) -> int:
                     prod *= v
                 nxt = 1 + prod
                 # product identity s_1 ... s_{n-1} = s_n - 1, by construction
-                assert prod == nxt - 1
+                check(prod == nxt - 1, "Sylvester product identity fails")
                 _sylvester_cache.append(nxt)
     return _sylvester_cache[i - 1]
 
@@ -49,7 +49,7 @@ def zpw_simplex(d: int, k: int) -> LatticeSimplex:
     scales.append((k + 1) * (sylvester(d) - 1))
     s = _axis_simplex(scales)
     expected = Fraction((k + 1) * (sylvester(d) - 1) ** 2, factorial(d))
-    assert volume(s) == expected
+    check(volume(s) == expected, "zpw simplex has the wrong volume")
     return s
 
 
@@ -60,7 +60,8 @@ def t_simplex(d: int) -> LatticeSimplex:
     s = _axis_simplex([sylvester(i) for i in range(1, d + 1)])
     # (1, ..., 1) is strictly interior: all barycentric coordinates positive.
     full = Face(s, tuple(range(d + 1)))
-    assert all(b > 0 for b in barycentric([1] * d, full))
+    check(all(b > 0 for b in barycentric([1] * d, full)),
+          "(1, ..., 1) is not interior to T_d")
     return s
 
 
@@ -96,5 +97,6 @@ def inscribed_cube_scale(d: int) -> Fraction:
     lam = Fraction(sylvester(d) - 1, sylvester(d) - 2)
     # Egyptian-fraction identity: the cube's far corner hits the slanted
     # facet of T_{d-1} exactly.
-    assert sum(lam / sylvester(i) for i in range(1, d)) == 1
+    check(sum(lam / sylvester(i) for i in range(1, d)) == 1,
+          "inscribed cube misses the slanted facet")
     return lam

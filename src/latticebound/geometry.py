@@ -7,14 +7,21 @@ whose row j is the facet opposite vertex j: a face with vertex set I has
 the rows j in I strict and the rows j not in I tight.  The enumeration is
 a recursive coordinate sweep driven by Fourier-Motzkin bounds, so it never
 scans full bounding boxes (those explode doubly exponentially for the
-simplices this library cares about).
+simplices this library cares about).  The sweep runs on integer rows, as in
+the integer elimination step of Pugh's Omega test: each row is scaled once
+to integers, a strict row a.x < b becomes a.x <= b - 1, every row is
+divided by the gcd of its coefficients with the right-hand side floored,
+an equality is substituted rather than paired, and the bounds of each
+coordinate are floor divisions, so neither the elimination nor the sweep
+does ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd, lcm
+from operator import mul
 
 from .exact import det
 
@@ -31,93 +38,169 @@ class EnumerationError(ValueError):
     """Point enumeration over an unbounded region was requested."""
 
 
+class VerificationError(ValueError):
+    """A mathematical cross-check inside the library failed."""
+
+
+def check(ok: bool, message: str) -> None:
+    """Raise ``VerificationError(message)`` unless ``ok`` (kept under -O)."""
+    if not ok:
+        raise VerificationError(message)
+
+
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin sweep enumeration
 #
 # A linear system is a list of rows (coeffs, rhs, strict) encoding
-# coeffs . x <= rhs, or < if strict.  Equalities are passed as two
-# opposite non-strict rows.
+# coeffs . x <= rhs, or < if strict, with rational entries.  Equalities are
+# passed as two opposite non-strict rows.  Internally each row is scaled
+# once to integers, and a system is a dict {coeffs: (rhs, strict)}, so rows
+# with the same normal merge into the tightest one.
 # ---------------------------------------------------------------------------
 
-def _eliminate_last(rows, nvars):
-    zero, pos, neg = [], [], []
+def _scaled(a, b):
+    """The row (a, b) times the lcm of its denominators, as ints."""
+    q = [Fraction(c) for c in a]
+    q.append(Fraction(b))
+    m = lcm(*(c.denominator for c in q))
+    ints = [c.numerator * (m // c.denominator) for c in q]
+    return tuple(ints[:-1]), ints[-1]
+
+
+def _add_row(system, a, b, strict, floor):
+    """Add a . x <= b (or <) to ``system``; False if it is a violated constant.
+
+    The row is divided by the gcd of its coefficients with the rhs floored
+    (``floor``: only integer points matter), or by the joint gcd of
+    coefficients and rhs (real points).  Constant rows that hold are dropped.
+    """
+    if not any(a):
+        return b > 0 or (b == 0 and not strict)
+    g = gcd(*a) if floor else gcd(b, *a)
+    if g > 1:
+        a = tuple(c // g for c in a)
+        b //= g
+    old = system.get(a)
+    if old is None or (b, not strict) < (old[0], not old[1]):
+        system[a] = (b, strict)
+    return True
+
+
+def _system(rows, floor):
+    """Integer system of the rational rows, or None if trivially infeasible.
+
+    With ``floor`` a strict row a . x < b becomes a . x <= b - 1, which has
+    the same integer solutions.
+    """
+    system = {}
     for a, b, strict in rows:
-        c = a[nvars - 1]
+        a, b = _scaled(a, b)
+        if floor and strict:
+            b, strict = b - 1, False
+        if not _add_row(system, a, b, strict, floor):
+            return None
+    return system
+
+
+def _eliminate_last(system, floor):
+    """Project the system onto all variables but the last one.
+
+    If an equality (two opposite non-strict rows) has a nonzero coefficient
+    on the last variable, it is substituted into every other row.
+    Otherwise every row with a positive coefficient is combined with every
+    row with a negative one (Fourier-Motzkin).  Returns None when a
+    combined row is a violated constant.
+    """
+    out = {}
+    pos, neg = [], []
+    eq = None
+    for a, (b, strict) in system.items():
+        c = a[-1]
         if c == 0:
-            zero.append((a[: nvars - 1], b, strict))
+            out[a[:-1]] = (b, strict)
         elif c > 0:
             pos.append((a, b, strict))
+            if (
+                not strict
+                and (eq is None or c < eq[0][-1])
+                and system.get(tuple(-x for x in a)) == (-b, False)
+            ):
+                eq = (a, b)
         else:
             neg.append((a, b, strict))
-    out = zero
+    if eq is not None:
+        e, f = eq
+        ce = e[-1]
+        pair = (e, tuple(-x for x in e))
+        for a, b, strict in pos + neg:
+            if a in pair:
+                continue
+            c = a[-1]
+            comb = tuple(ce * x - c * y for x, y in zip(a[:-1], e))
+            if not _add_row(out, comb, ce * b - c * f, strict, floor):
+                return None
+        return out
     for ap, bp, sp in pos:
-        cp = ap[nvars - 1]
+        cp = ap[-1]
         for an, bn, sn in neg:
-            cn = -an[nvars - 1]
-            coeffs = tuple(
-                ap[i] / cp + an[i] / cn for i in range(nvars - 1)
-            )
-            out.append((coeffs, bp / cp + bn / cn, sp or sn))
+            cn = -an[-1]
+            comb = tuple(cn * x + cp * y for x, y in zip(ap[:-1], an))
+            if not _add_row(out, comb, cn * bp + cp * bn, sp or sn, floor):
+                return None
     return out
-
-
-def _lower_int(bound, strict):
-    # smallest integer x with x > bound (strict) or x >= bound
-    if bound.denominator == 1:
-        return bound.numerator + 1 if strict else bound.numerator
-    return ceil(bound)
-
-
-def _upper_int(bound, strict):
-    if bound.denominator == 1:
-        return bound.numerator - 1 if strict else bound.numerator
-    return floor(bound)
 
 
 def integer_points(rows, nvars, limit=None):
     """All integer solutions of the system, in lexicographic order.
 
-    ``limit``: stop as soon as more than ``limit`` points were found and
-    return the truncated list (used for early-exit counting).
+    Each row is tightened for integer points (strict rows to rhs - 1,
+    gcd-reduced with the rhs floored) and the sweep bounds are integer
+    floor divisions.  ``limit``: stop as soon as more than ``limit`` points
+    were found and return the truncated list (used for early-exit
+    counting).  Raises ``EnumerationError`` when the sweep meets a
+    coordinate without a lower or an upper bound, which it always does on
+    an unbounded region with an integer point.
     """
-    rows = [
-        (tuple(Fraction(c) for c in a), Fraction(b), strict)
-        for a, b, strict in rows
-    ]
+    systems = [_system(rows, floor=True)]
     if nvars == 0:
         return [()]
-    systems = [None] * (nvars + 1)
-    systems[nvars] = rows
-    for v in range(nvars, 1, -1):
-        systems[v - 1] = _eliminate_last(systems[v], v)
+    while len(systems) < nvars and systems[-1] is not None:
+        systems.append(_eliminate_last(systems[-1], floor=True))
+    if systems[-1] is None:
+        return []
+    # levels[v]: rows bounding x_v given x_0..x_{v-1}, split by the sign
+    # of the x_v coefficient: (prefix coeffs, rhs[, |coefficient|]).
+    levels = []
+    for system in reversed(systems):
+        zero, upper, lower = [], [], []
+        for a, (b, _) in system.items():
+            c = a[-1]
+            if c == 0:
+                zero.append((a[:-1], b))
+            elif c > 0:
+                upper.append((a[:-1], b, c))
+            else:
+                lower.append((a[:-1], b, -c))
+        levels.append((zero, upper, lower))
 
     results = []
 
     def sweep(prefix, v):
-        lo, lo_strict = None, False
-        hi, hi_strict = None, False
-        for a, b, strict in systems[v + 1]:
-            c = a[v]
-            rest = b - sum(a[i] * prefix[i] for i in range(v))
-            if c == 0:
-                if rest < 0 or (rest == 0 and strict):
-                    return False
-            elif c > 0:
-                bound = rest / c
-                if hi is None or bound < hi or (bound == hi and strict):
-                    hi, hi_strict = bound, strict
-            else:
-                bound = rest / c
-                if lo is None or bound > lo or (bound == lo and strict):
-                    lo, lo_strict = bound, strict
-        if lo is None or hi is None:
+        zero, upper, lower = levels[v]
+        for a, b in zero:
+            if sum(map(mul, a, prefix)) > b:
+                return False
+        if not upper or not lower:
             raise EnumerationError("region is unbounded")
-        for x in range(_lower_int(lo, lo_strict), _upper_int(hi, hi_strict) + 1):
-            if v + 1 == nvars:
+        hi = min((b - sum(map(mul, a, prefix))) // c for a, b, c in upper)
+        lo = max(-((b - sum(map(mul, a, prefix))) // c) for a, b, c in lower)
+        if v + 1 == nvars:
+            for x in range(lo, hi + 1):
                 results.append(prefix + (x,))
                 if limit is not None and len(results) > limit:
                     return True
-            else:
+        else:
+            for x in range(lo, hi + 1):
                 if sweep(prefix + (x,), v + 1):
                     return True
         return False
@@ -127,17 +210,13 @@ def integer_points(rows, nvars, limit=None):
 
 
 def _feasible(rows, nvars):
-    """Real feasibility of a system via full FM elimination."""
-    rows = [
-        (tuple(Fraction(c) for c in a), Fraction(b), strict)
-        for a, b, strict in rows
-    ]
-    for v in range(nvars, 0, -1):
-        rows = _eliminate_last(rows, v)
-    for _, b, strict in rows:
-        if b < 0 or (b == 0 and strict):
-            return False
-    return True
+    """Real feasibility of a system via full elimination (strictness kept)."""
+    system = _system(rows, floor=False)
+    for _ in range(nvars):
+        if system is None:
+            break
+        system = _eliminate_last(system, floor=False)
+    return system is not None
 
 
 # ---------------------------------------------------------------------------

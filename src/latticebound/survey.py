@@ -13,7 +13,7 @@ from math import gcd
 
 from .bounds import qualifying_facets
 from .constructions import zpw_simplex
-from .geometry import LatticeSimplex, interior_points
+from .geometry import LatticeSimplex, check, interior_points
 from .unimodular import canonical_form, equivalent
 
 
@@ -31,7 +31,7 @@ def _pick_interior_count(a, b, c):
     twice_area = a * c
     boundary = a + gcd(b, c) + gcd(b - a, c)
     interior2 = twice_area - boundary + 2
-    assert interior2 % 2 == 0
+    check(interior2 % 2 == 0, "Pick count is not integral")
     return interior2 // 2
 
 
@@ -58,7 +58,7 @@ def enumerate_triangles(k: int, cap: int | None = None) -> TriangleCensus:
                 tri = LatticeSimplex([(0, 0), (a, 0), (b, c)])
                 # Cross-check Pick against direct enumeration.
                 direct = len(interior_points(tri, limit=k + 1))
-                assert direct == k, "Pick and direct interior counts disagree"
+                check(direct == k, "Pick and direct interior counts disagree")
                 key = canonical_form(tri).key()
                 if key not in seen:
                     seen[key] = tri

@@ -152,7 +152,7 @@ class TestSurvey2d:
     def test_bad_cap(self, capsys):
         code, _, err = run(["survey2d", "--k", "1", "--cap", "1"],
                            capsys=capsys)
-        assert code == EXIT_VERIFICATION and "error" in err
+        assert code == EXIT_USAGE and "error" in err
 
 
 class TestVerify:
@@ -164,8 +164,10 @@ class TestVerify:
         assert json.loads(out)["passed"] is True
 
     def test_out_of_scale(self, capsys):
-        code, _, err = run(["verify", "main2d", "--k", "9"], capsys=capsys)
-        assert code == EXIT_VERIFICATION and "error" in err
+        code, out, err = run(["verify", "main2d", "--k", "9"], capsys=capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--k" in err and "at most 3" in err
 
 
 class TestIngestReport:
@@ -233,6 +235,18 @@ class TestUsage:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "--dim" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["survey2d", "--k", "-1"],
+        ["survey2d", "--k", "1", "--cap", "3"],
+        ["verify", "main2d", "--k", "-1"],
+        ["verify", "main2d", "--k", "1", "--cap", "3"],
+    ])
+    def test_out_of_range_is_usage(self, capsys, argv):
+        code, out, err = run(argv, capsys=capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert argv[-2] in err and "Traceback" not in err
 
     def test_unreadable_input_is_usage(self, capsys, tmp_path):
         code, out, err = run(["count", "interior", "--input", str(tmp_path)],

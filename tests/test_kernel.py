@@ -1,0 +1,146 @@
+"""The integer Fourier-Motzkin kernel against the Fraction oracle."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fm_oracle
+from latticebound import (
+    EnumerationError,
+    HalfspaceSystem,
+    facets,
+    geometry,
+    relint_points,
+    zpw_simplex,
+)
+from latticebound.geometry import _eliminate_last, _system, integer_points
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def bounded_systems(draw):
+    """Rows (a, b, strict) in d <= 4 variables with a bounded solution set.
+
+    A box |x_i| <= B_i (each side strict or not) keeps the region bounded;
+    on top come random rational rows and equality pairs.
+    """
+    d = draw(st.integers(1, 4))
+    rows = []
+    for i in range(d):
+        for sign in (1, -1):
+            a = tuple(sign if j == i else 0 for j in range(d))
+            b = draw(st.builds(Fraction, st.integers(0, 12), st.integers(1, 4)))
+            rows.append((a, b, draw(st.booleans())))
+    coeffs = st.tuples(*[rationals] * d)
+    for a, b, strict in draw(
+        st.lists(st.tuples(coeffs, rationals, st.booleans()), max_size=4)
+    ):
+        rows.append((a, b, strict))
+    for a, b in draw(st.lists(st.tuples(coeffs, rationals), max_size=2)):
+        rows.append((a, b, False))
+        rows.append((tuple(-c for c in a), -b, False))
+    return draw(st.permutations(rows)), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_systems())
+def test_integer_points_match_fraction_oracle(system):
+    rows, d = system
+    expected = fm_oracle.integer_points(rows, d)
+    assert integer_points(rows, d) == expected
+    for limit in (0, 1, 2):
+        assert integer_points(rows, d, limit=limit) == expected[: limit + 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_systems())
+def test_is_feasible_matches_fraction_oracle(system):
+    rows, d = system
+    h = HalfspaceSystem(tuple(a for a, _, _ in rows),
+                        tuple(b for _, b, _ in rows))
+    assert h.is_feasible() == fm_oracle._feasible(h.rows(), d)
+    assert geometry._feasible(rows, d) == fm_oracle._feasible(rows, d)
+
+
+def test_infeasible_system_is_empty():
+    rows = [((1, 0), 3, False), ((-1, 0), 0, False), ((0, 1), 3, False),
+            ((0, -1), 0, False), ((1, 1), 1, True), ((-1, -1), -1, True)]
+    assert integer_points(rows, 2) == fm_oracle.integer_points(rows, 2) == []
+
+
+def test_lattice_free_slab_is_empty():
+    # 0 < 2x + 2y < 2 holds for real points but for no integer point
+    rows = [((1, 0), 5, False), ((-1, 0), 5, False),
+            ((2, 2), 2, True), ((-2, -2), 0, True)]
+    assert integer_points(rows, 2) == fm_oracle.integer_points(rows, 2) == []
+    assert geometry._feasible(rows, 2) and fm_oracle._feasible(rows, 2)
+
+
+@pytest.mark.parametrize("rows, nvars", [
+    ([((-1,), 0, False)], 1),
+    ([((1, 0), 2, False), ((-1, 0), 0, False), ((0, -1), 0, True)], 2),
+    ([], 2),
+])
+def test_unbounded_system_raises(rows, nvars):
+    with pytest.raises(EnumerationError):
+        fm_oracle.integer_points(rows, nvars)
+    with pytest.raises(EnumerationError):
+        integer_points(rows, nvars)
+
+
+def test_no_variables():
+    assert integer_points([], 0) == [()]
+    assert integer_points([((), -1, False)], 0) == [()]
+
+
+@pytest.mark.parametrize("rows, nvars, feasible", [
+    # two strict rows touching at the single real point x = 1/2
+    ([((2,), 1, True), ((-2,), -1, True)], 1, False),
+    ([((2,), 1, False), ((-2,), -1, True)], 1, False),
+    ([((2,), 1, False), ((-2,), -1, False)], 1, True),
+    # x + y < 1 touches the quadrant x, y >= 1/2 only at (1/2, 1/2)
+    ([((1, 1), 1, True), ((-1, 0), Fraction(-1, 2), False),
+      ((0, -1), Fraction(-1, 2), False)], 2, False),
+    ([((1, 1), 1, False), ((-1, 0), Fraction(-1, 2), False),
+      ((0, -1), Fraction(-1, 2), False)], 2, True),
+    # the corner of a strict cone: y > x and y < -x touch only at the origin
+    ([((1, -1), 0, True), ((1, 1), 0, True), ((-1, 0), 0, False)], 2, False),
+    ([((1, -1), 0, False), ((1, 1), 0, False), ((-1, 0), 0, False)], 2, True),
+])
+def test_is_feasible_on_strict_boundaries(rows, nvars, feasible):
+    assert fm_oracle._feasible(rows, nvars) is feasible
+    assert geometry._feasible(rows, nvars) is feasible
+    if not any(strict for _, _, strict in rows):
+        h = HalfspaceSystem(tuple(a for a, _, _ in rows),
+                            tuple(b for _, b, _ in rows))
+        assert h.is_feasible() is feasible
+
+
+def test_equality_is_substituted(monkeypatch):
+    """A facet's equality with a nonzero last coefficient removes a row.
+
+    Substitution emits one row per other row, so the first elimination of
+    the relint system drops at least the two rows of the equality.
+    """
+    s = zpw_simplex(3, 2)
+    seen = []
+
+    def recording(rows, nvars, limit=None):
+        seen.append((list(rows), nvars))
+        return integer_points(rows, nvars, limit=limit)
+
+    monkeypatch.setattr(geometry, "integer_points", recording)
+    substituted = 0
+    for f in facets(s):
+        pts = relint_points(f)
+        rows, nvars = seen.pop()
+        assert pts == fm_oracle.integer_points(rows, nvars)
+        eq = [a for a, _, strict in rows if not strict]
+        if eq[0][-1] != 0:
+            substituted += 1
+            out = _eliminate_last(_system(rows, floor=True), floor=True)
+            assert len(out) <= len(rows) - 2
+    assert substituted == 2

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import latticebound
 from latticebound import (
     LatticeSimplex,
     canonical_form,
@@ -152,3 +157,31 @@ class TestVerifyTheorem:
     def test_scale_guard(self):
         with pytest.raises(ValueError):
             verify_theorem_main_2d(4)
+
+
+CORRUPT_COUNT = """
+import latticebound.survey as survey
+from latticebound import VerificationError
+
+assert False, "asserts must be stripped"
+survey.interior_points = lambda s, limit=None: [(0, 0)] * 5
+try:
+    survey.enumerate_triangles(1)
+except VerificationError as exc:
+    print("VerificationError:", exc)
+"""
+
+
+def test_cross_check_survives_dash_O():
+    """A wrong direct count is caught even with asserts stripped."""
+    src = str(Path(latticebound.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPT_COUNT],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "VerificationError: Pick and direct interior counts disagree\n"
+    )
