@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 
 from .constructions import sylvester
-from .exact import mat_inverse, mat_vec, primitive_direction
+from .exact import mat_vec, primitive_direction
 from .geometry import (
     Face,
     LatticeSimplex,
@@ -23,6 +23,7 @@ from .geometry import (
     check,
     collinear,
     facets,
+    hrep,
     integer_points,
     interior_points,
     relint_points,
@@ -239,18 +240,19 @@ def proof_trace(s: LatticeSimplex, f: Face) -> ProofTrace:
     """
     if f.parent != s or f.dim != s.dim - 1:
         raise ApplicabilityError("face is not a facet of the given simplex")
-    d = s.dim
     x = _unique_relint_point(f)
     betas = tuple(barycentric(x, f))
-    opposite = next(
-        i for i in range(d + 1) if i not in f.vertex_indices
-    )
-    v0 = s.vertices[opposite]
-    # Columns of V are the facet vertices translated by -v0; phi = V^{-1}.
-    cols = [tuple(c - o for c, o in zip(s.vertices[i], v0)) for i in f.vertex_indices]
-    v_mat = [[cols[j][i] for j in range(d)] for i in range(d)]
-    phi = mat_inverse(v_mat)
-    lat = Lattice(tuple(tuple(row) for row in phi))
+    # phi, the inverse of the edge matrix at the vertex v0 opposite the
+    # facet, maps x - v0 to the barycentric coordinates of x at the facet
+    # vertices.  v0 lies on facet j of hrep for every facet vertex j, so
+    # the row of vertex j is -a_j / (b_j - a_j v_j).
+    h = hrep(s)
+    phi = []
+    for j in f.vertex_indices:
+        aj, vj = h.a[j], s.vertices[j]
+        scale = h.b[j] - sum(c * vc for c, vc in zip(aj, vj))
+        phi.append(tuple(-c / scale for c in aj))
+    lat = Lattice(tuple(phi))
     y_set = lat.points_in_open_box(betas)
     # o-symmetry and the half-space split along sum of coordinates.
     y_lookup = set(y_set)

@@ -218,12 +218,7 @@ def cmd_survey2d(args):
 
 def cmd_verify(args):
     report = verify_theorem_main_2d(args.k, args.cap)
-    if args.json:
-        report = dict(report, schemaVersion=lbio.SCHEMA_VERSION)
-        print(json.dumps(report, indent=2, default=str))
-    else:
-        for key, value in report.items():
-            print(f"{key}: {value}")
+    _emit(report, args.json)
     return EXIT_OK if report["passed"] else EXIT_VERIFICATION
 
 
@@ -314,13 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="validate a census file")
     p.add_argument("--census", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_in_range(0), required=True)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("report", help="census statistics report")
     p.add_argument("what", choices=["outlook"])
     p.add_argument("--census", required=True)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=_int_in_range(0), default=2)
     add_json(p)
     p.set_defaults(func=cmd_report)
 

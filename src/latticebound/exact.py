@@ -15,10 +15,6 @@ class LinAlgError(ValueError):
     """Dimension mismatch, singularity or rank deficiency."""
 
 
-def _as_fraction_rows(m):
-    return [[Fraction(x) for x in row] for row in m]
-
-
 def _check_square(m):
     n = len(m)
     if n == 0 or any(len(row) != n for row in m):
@@ -135,11 +131,11 @@ def is_unimodular(u) -> bool:
     )
 
 
-def hnf(m) -> tuple[list[list[int]], list[list[int]]]:
+def hnf(m) -> list[list[int]]:
     """Hermite normal form of an integer matrix under left unimodular action.
 
-    Returns (h, u) with h = u m, u unimodular, h upper triangular with
-    positive diagonal, and every entry above a pivot reduced into
+    Returns h = u m for some unimodular u, with h upper triangular with
+    positive diagonal and every entry above a pivot reduced into
     [0, pivot).  This normalization makes h the unique representative of
     the left coset of m, which is what canonical forms rely on.
     """
@@ -152,7 +148,6 @@ def hnf(m) -> tuple[list[list[int]], list[list[int]]]:
     if cols > rows:
         raise LinAlgError("matrix cannot have full column rank")
     h = [[int(x) for x in row] for row in m]
-    u = identity(rows)
     pivot_row = 0
     for col in range(cols):
         # Euclidean reduction among rows pivot_row.. on this column.
@@ -163,24 +158,20 @@ def hnf(m) -> tuple[list[list[int]], list[list[int]]]:
             if len(nz) == 1:
                 i = nz[0]
                 h[pivot_row], h[i] = h[i], h[pivot_row]
-                u[pivot_row], u[i] = u[i], u[pivot_row]
                 break
             nz.sort(key=lambda i: abs(h[i][col]))
             small, other = nz[0], nz[1]
             q = h[other][col] // h[small][col]
             h[other] = [a - q * b for a, b in zip(h[other], h[small])]
-            u[other] = [a - q * b for a, b in zip(u[other], u[small])]
         if h[pivot_row][col] < 0:
             h[pivot_row] = [-x for x in h[pivot_row]]
-            u[pivot_row] = [-x for x in u[pivot_row]]
         p = h[pivot_row][col]
         for i in range(pivot_row):
             q = h[i][col] // p
             if q:
                 h[i] = [a - q * b for a, b in zip(h[i], h[pivot_row])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[pivot_row])]
         pivot_row += 1
-    return h, u
+    return h
 
 
 def primitive_direction(v) -> tuple[int, ...]:

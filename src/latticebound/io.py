@@ -199,8 +199,10 @@ def outlook_report(census) -> dict:
     per-interior-point bound strictly exceeds vol(S_{3,2}) = 18."""
     threshold = volume(zpw_simplex(3, 2))
     vertex_lists = [s.vertices for s in census]
-    workers = _worker_count()
-    if workers > 1 and len(vertex_lists) > 1:
+    # Under fork the pool starts all max_workers processes at the first
+    # submit, so ask for no more than there are records.
+    workers = min(_worker_count(), len(vertex_lists))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             details = list(pool.map(analyze_simplex, vertex_lists))
     else:

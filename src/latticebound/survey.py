@@ -35,6 +35,14 @@ def _pick_interior_count(a, b, c):
     return interior2 // 2
 
 
+def _maximizers(reps):
+    """(max area, the triangles attaining it) over Hermite-shaped
+    triangles conv(o, (a,0), (b,c)), whose area is ac/2."""
+    areas = [Fraction(t.vertices[1][0] * t.vertices[2][1], 2) for t in reps]
+    max_area = max(areas, default=Fraction(0))
+    return max_area, tuple(t for t, a in zip(reps, areas) if a == max_area)
+
+
 def enumerate_triangles(k: int, cap: int | None = None) -> TriangleCensus:
     """All lattice triangles with k interior points and area <= cap.
 
@@ -63,31 +71,13 @@ def enumerate_triangles(k: int, cap: int | None = None) -> TriangleCensus:
                 if key not in seen:
                     seen[key] = tri
     reps = tuple(seen[key] for key in sorted(seen))
-    max_area = max(
-        (Fraction(tri.vertices[1][0] * tri.vertices[2][1], 2) for tri in reps),
-        default=Fraction(0),
-    )
-    maximizers = tuple(
-        tri
-        for tri in reps
-        if Fraction(tri.vertices[1][0] * tri.vertices[2][1], 2) == max_area
-    )
-    return TriangleCensus(k, reps, max_area, maximizers, cap)
+    return TriangleCensus(k, reps, *_maximizers(reps), cap)
 
 
 def filter_one_relint_facet(census: TriangleCensus) -> TriangleCensus:
     """Keep triangles with an edge carrying exactly one relint lattice point."""
     reps = tuple(t for t in census.representatives if qualifying_facets(t))
-    areas = [
-        Fraction(t.vertices[1][0] * t.vertices[2][1], 2) for t in reps
-    ]
-    max_area = max(areas, default=Fraction(0))
-    maximizers = tuple(
-        t for t, area in zip(reps, areas) if area == max_area
-    )
-    return TriangleCensus(
-        census.k, reps, max_area, maximizers, census.search_cap
-    )
+    return TriangleCensus(census.k, reps, *_maximizers(reps), census.search_cap)
 
 
 def verify_theorem_main_2d(k: int, cap: int | None = None) -> dict:

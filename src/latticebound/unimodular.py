@@ -65,19 +65,13 @@ def canonical_form(s: LatticeSimplex) -> CanonicalForm:
     """
     d = s.dim
     verts = s.vertices
-    best = None
-    for base in range(d + 1):
-        others = [verts[i] for i in range(d + 1) if i != base]
-        for perm in permutations(others):
-            edges = [
-                [perm[j][i] - verts[base][i] for j in range(d)]
-                for i in range(d)
-            ]
-            h, _ = hnf(edges)
-            key = tuple(x for row in h for x in row)
-            if best is None or key < best[0]:
-                best = (key, h)
-    return CanonicalForm(tuple(tuple(row) for row in best[1]))
+    # Row lists of one shape compare like their flattened entries.
+    h = min(
+        hnf([[w[i] - v[i] for w in perm] for i in range(d)])
+        for b, v in enumerate(verts)
+        for perm in permutations(verts[:b] + verts[b + 1:])
+    )
+    return CanonicalForm(tuple(map(tuple, h)))
 
 
 def equivalent(a: LatticeSimplex, b: LatticeSimplex) -> bool:

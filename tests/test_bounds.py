@@ -23,6 +23,8 @@ from latticebound import (
     volume,
     zpw_simplex,
 )
+from latticebound.exact import mat_inverse
+from latticebound.io import ingest_census
 
 F = Fraction
 
@@ -240,6 +242,25 @@ class TestProofTrace:
         tr = proof_trace(s, bottom_facet(s))
         # the image lattice has determinant 1/|det V| = 1/(d! vol)
         assert tr.lattice.det == F(1, 72)
+
+    def test_phi_is_the_inverse_edge_matrix(self, sample_census_path):
+        # phi from hrep equals V^{-1}, V the facet vertices minus the
+        # opposite vertex as columns, on every qualifying facet
+        shapes = [zpw_simplex(d, k) for d, k in
+                  [(2, 0), (2, 1), (2, 3), (3, 1), (3, 2), (4, 1)]]
+        shapes += [t_simplex(d) for d in (2, 3, 4)]
+        shapes += ingest_census(sample_census_path, 2)
+        checked = 0
+        for s in shapes:
+            for f in qualifying_facets(s):
+                (v0,) = (v for i, v in enumerate(s.vertices)
+                         if i not in f.vertex_indices)
+                v_mat = [[s.vertices[j][i] - v0[i] for j in f.vertex_indices]
+                         for i in range(s.dim)]
+                phi = tuple(map(tuple, mat_inverse(v_mat)))
+                assert proof_trace(s, f).lattice.basis == phi
+                checked += 1
+        assert checked >= len(shapes)
 
     @pytest.mark.parametrize("d,k", [(2, 1), (2, 3), (3, 2), (4, 1)])
     def test_y_count_budget(self, d, k):

@@ -241,8 +241,11 @@ class TestUsage:
         ["survey2d", "--k", "1", "--cap", "3"],
         ["verify", "main2d", "--k", "-1"],
         ["verify", "main2d", "--k", "1", "--cap", "3"],
+        ["ingest", "--census", "CENSUS", "--k", "-1"],
+        ["report", "outlook", "--census", "CENSUS", "--k", "-1"],
     ])
-    def test_out_of_range_is_usage(self, capsys, argv):
+    def test_out_of_range_is_usage(self, capsys, argv, sample_census_path):
+        argv = [sample_census_path if a == "CENSUS" else a for a in argv]
         code, out, err = run(argv, capsys=capsys)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error:") and err.count("\n") == 1

@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticebound import LinAlgError, det, hnf, primitive_direction, solve
-from latticebound.exact import identity, is_unimodular, mat_mul, mat_vec
+from latticebound.exact import (
+    identity,
+    is_unimodular,
+    mat_inverse,
+    mat_mul,
+    mat_vec,
+)
 
 
 def F(n, d=1):
@@ -51,21 +57,30 @@ class TestSolve:
             solve([[1, 2], [2, 4]], [1, 1])
 
 
+def left_factor(h, m):
+    """The u with u m = h; unique for a nonsingular square m."""
+    return mat_mul(h, mat_inverse(m))
+
+
 class TestHnf:
     def test_identity(self):
-        h, u = hnf(identity(2))
+        h = hnf(identity(2))
+        u = left_factor(h, identity(2))
         assert h == identity(2) and u == identity(2)
 
     def test_reduction_above_pivot(self):
         # the off-diagonal entry reduces modulo the pivot of its column
-        h, u = hnf([[2, 1], [0, 1]])
+        m = [[2, 1], [0, 1]]
+        h = hnf(m)
+        u = left_factor(h, m)
         assert h == [[2, 0], [0, 1]]
-        assert mat_mul(u, [[2, 1], [0, 1]]) == h
+        assert mat_mul(u, m) == h
 
     def test_row_swap(self):
-        h, u = hnf([[0, 1], [1, 0]])
+        m = [[0, 1], [1, 0]]
+        h = hnf(m)
         assert h == identity(2)
-        assert u == [[0, 1], [1, 0]]
+        assert left_factor(h, m) == [[0, 1], [1, 0]]
 
     def test_rank_deficient(self):
         with pytest.raises(LinAlgError):
@@ -74,7 +89,7 @@ class TestHnf:
     def test_uniqueness_brute_force(self):
         # minimal normal form over small unimodular left factors
         m = [[2, 1], [0, 1]]
-        h, _ = hnf(m)
+        h = hnf(m)
         seen = []
         r = range(-3, 4)
         for a in r:
@@ -116,11 +131,17 @@ def test_det_multiplicative(a, b):
 def test_hnf_invariants(m):
     if det(m) == 0:
         return
-    h, u = hnf(m)
+    h = hnf(m)
+    u = left_factor(h, m)
     assert mat_mul(u, m) == h
     assert is_unimodular(u)
-    h2, _ = hnf(h)
-    assert h2 == h
+    assert hnf(h) == h
+    # the shape that makes h the unique form of its left coset
+    n = len(h)
+    for i in range(n):
+        assert h[i][i] > 0
+        assert all(h[i][j] == 0 for j in range(i))
+        assert all(0 <= h[r][i] < h[i][i] for r in range(i))
 
 
 @settings(max_examples=60, deadline=None)

@@ -138,6 +138,32 @@ class TestOutlookReport:
         monkeypatch.setenv("LATTICEBOUND_THREADS", "2")
         assert outlook_report(census) == serial
 
+    def test_pool_not_larger_than_census(self, sample_census_path, monkeypatch):
+        # fork starts max_workers processes at once: ask for one per record
+        from latticebound import io as lbio
+
+        census = ingest_census(sample_census_path, 2)[:3]
+        serial = outlook_report(census)
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(lbio, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setenv("LATTICEBOUND_THREADS", "64")
+        assert outlook_report(census) == serial
+        assert requested == [3]
+
     def test_hollow_member(self):
         hollow = LatticeSimplex([(0, 0), (1, 0), (0, 1)])
         report = outlook_report([hollow])
