@@ -43,7 +43,6 @@ from .geometry import (
     interior_points,
     polygon_counts,
     relint_points,
-    slice_system,
     volume,
 )
 from .io import (

@@ -251,7 +251,7 @@ def proof_trace(s: LatticeSimplex, f: Face) -> ProofTrace:
     for j in f.vertex_indices:
         aj, vj = h.a[j], s.vertices[j]
         scale = h.b[j] - sum(c * vc for c, vc in zip(aj, vj))
-        phi.append(tuple(-c / scale for c in aj))
+        phi.append(tuple(Fraction(-c, scale) for c in aj))
     lat = Lattice(tuple(phi))
     y_set = lat.points_in_open_box(betas)
     # o-symmetry and the half-space split along sum of coordinates.

@@ -88,7 +88,7 @@ def _read_simplices(path) -> list[LatticeSimplex]:
 def _facet(s: LatticeSimplex, index: int | None) -> Face:
     if index is not None:
         if index < 0 or index > s.dim:
-            raise ApplicabilityError(f"facet index must be in 0..{s.dim}")
+            raise UsageError(f"--facet must be in 0..{s.dim}, got {index}")
         return Face(s, tuple(j for j in range(s.dim + 1) if j != index))
     return best_facet_bound(s).facet
 
@@ -339,7 +339,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, OSError) as exc:
+    except (UsageError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataIntegrityError, ApplicabilityError, ValueError) as exc:

@@ -1,19 +1,21 @@
 """Lattice simplices and convex lattice polygons over exact rationals.
 
-Provides volumes, H-representations, barycentric coordinates, slices, and
-exact enumeration of interior / relative-interior lattice points.  Every
-face query derives from the one H-representation ``hrep`` of the simplex,
-whose row j is the facet opposite vertex j: a face with vertex set I has
-the rows j in I strict and the rows j not in I tight.  The enumeration is
-a recursive coordinate sweep driven by Fourier-Motzkin bounds, so it never
-scans full bounding boxes (those explode doubly exponentially for the
-simplices this library cares about).  The sweep runs on integer rows, as in
-the integer elimination step of Pugh's Omega test: each row is scaled once
-to integers, a strict row a.x < b becomes a.x <= b - 1, every row is
-divided by the gcd of its coefficients with the right-hand side floored,
-an equality is substituted rather than paired, and the bounds of each
-coordinate are floor divisions, so neither the elimination nor the sweep
-does ``Fraction`` arithmetic.
+Provides volumes, H-representations, barycentric coordinates and exact
+enumeration of interior / relative-interior lattice points.  Every face
+query derives from the one integer H-representation ``hrep`` of the
+simplex, whose row j is the facet opposite vertex j: a face with vertex
+set I has the rows j in I strict and the rows j not in I tight.  The
+H-representation, the interior points and each face's relative-interior
+points are computed once per simplex and kept on the instance.  The
+enumeration is a recursive coordinate sweep driven by Fourier-Motzkin
+bounds, so it never scans full bounding boxes (those explode doubly
+exponentially for the simplices this library cares about).  The sweep
+runs on integer rows, as in the integer elimination step of Pugh's Omega
+test: each row is scaled once to integers, a strict row a.x < b becomes
+a.x <= b - 1, every row is divided by the gcd of its coefficients with
+the right-hand side floored, an equality is substituted rather than
+paired, and the bounds of each coordinate are floor divisions, so neither
+the elimination nor the sweep does ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ def check(ok: bool, message: str) -> None:
 # A linear system is a list of rows (coeffs, rhs, strict) encoding
 # coeffs . x <= rhs, or < if strict, with rational entries.  Equalities are
 # passed as two opposite non-strict rows.  Internally each row is scaled
-# once to integers, and a system is a dict {coeffs: (rhs, strict)}, so rows
-# with the same normal merge into the tightest one.
+# once to integers, a strict row becomes coeffs . x <= rhs - 1 (the same
+# integer points), and a system is a dict {coeffs: rhs}, so rows with the
+# same normal merge into the tightest one.
 # ---------------------------------------------------------------------------
 
 def _scaled(a, b):
@@ -67,85 +70,77 @@ def _scaled(a, b):
     return tuple(ints[:-1]), ints[-1]
 
 
-def _add_row(system, a, b, strict, floor):
-    """Add a . x <= b (or <) to ``system``; False if it is a violated constant.
+def _add_row(system, a, b):
+    """Add a . x <= b to ``system``; False if it is a violated constant.
 
-    The row is divided by the gcd of its coefficients with the rhs floored
-    (``floor``: only integer points matter), or by the joint gcd of
-    coefficients and rhs (real points).  Constant rows that hold are dropped.
+    The row is divided by the gcd of its coefficients with the rhs floored,
+    which keeps its integer points.  Constant rows that hold are dropped.
     """
     if not any(a):
-        return b > 0 or (b == 0 and not strict)
-    g = gcd(*a) if floor else gcd(b, *a)
+        return b >= 0
+    g = gcd(*a)
     if g > 1:
         a = tuple(c // g for c in a)
         b //= g
     old = system.get(a)
-    if old is None or (b, not strict) < (old[0], not old[1]):
-        system[a] = (b, strict)
+    if old is None or b < old:
+        system[a] = b
     return True
 
 
-def _system(rows, floor):
-    """Integer system of the rational rows, or None if trivially infeasible.
-
-    With ``floor`` a strict row a . x < b becomes a . x <= b - 1, which has
-    the same integer solutions.
-    """
+def _system(rows):
+    """Integer system of the rational rows, or None if trivially infeasible."""
     system = {}
     for a, b, strict in rows:
         a, b = _scaled(a, b)
-        if floor and strict:
-            b, strict = b - 1, False
-        if not _add_row(system, a, b, strict, floor):
+        if not _add_row(system, a, b - 1 if strict else b):
             return None
     return system
 
 
-def _eliminate_last(system, floor):
+def _eliminate_last(system):
     """Project the system onto all variables but the last one.
 
-    If an equality (two opposite non-strict rows) has a nonzero coefficient
-    on the last variable, it is substituted into every other row.
-    Otherwise every row with a positive coefficient is combined with every
-    row with a negative one (Fourier-Motzkin).  Returns None when a
-    combined row is a violated constant.
+    If an equality (two opposite rows) has a nonzero coefficient on the
+    last variable, it is substituted into every other row.  Otherwise
+    every row with a positive coefficient is combined with every row with
+    a negative one (Fourier-Motzkin).  Returns None when a combined row is
+    a violated constant.
     """
     out = {}
     pos, neg = [], []
     eq = None
-    for a, (b, strict) in system.items():
+    for a, b in system.items():
         c = a[-1]
         if c == 0:
-            out[a[:-1]] = (b, strict)
+            out[a[:-1]] = b
         elif c > 0:
-            pos.append((a, b, strict))
+            pos.append((a, b))
             if (
-                not strict
-                and (eq is None or c < eq[0][-1])
-                and system.get(tuple(-x for x in a)) == (-b, False)
+                (eq is None or c < eq[0][-1])
+                and system.get(tuple(-x for x in a)) == -b
             ):
                 eq = (a, b)
         else:
-            neg.append((a, b, strict))
+            neg.append((a, b))
     if eq is not None:
         e, f = eq
         ce = e[-1]
         pair = (e, tuple(-x for x in e))
-        for a, b, strict in pos + neg:
+        for a, b in pos + neg:
             if a in pair:
                 continue
             c = a[-1]
             comb = tuple(ce * x - c * y for x, y in zip(a[:-1], e))
-            if not _add_row(out, comb, ce * b - c * f, strict, floor):
+            if not _add_row(out, comb, ce * b - c * f):
                 return None
         return out
-    for ap, bp, sp in pos:
+    for ap, bp in pos:
         cp = ap[-1]
-        for an, bn, sn in neg:
+        for an, bn in neg:
             cn = -an[-1]
             comb = tuple(cn * x + cp * y for x, y in zip(ap[:-1], an))
-            if not _add_row(out, comb, cn * bp + cp * bn, sp or sn, floor):
+            if not _add_row(out, comb, cn * bp + cp * bn):
                 return None
     return out
 
@@ -161,11 +156,11 @@ def integer_points(rows, nvars, limit=None):
     coordinate without a lower or an upper bound, which it always does on
     an unbounded region with an integer point.
     """
-    systems = [_system(rows, floor=True)]
+    systems = [_system(rows)]
     if nvars == 0:
         return [()]
     while len(systems) < nvars and systems[-1] is not None:
-        systems.append(_eliminate_last(systems[-1], floor=True))
+        systems.append(_eliminate_last(systems[-1]))
     if systems[-1] is None:
         return []
     # levels[v]: rows bounding x_v given x_0..x_{v-1}, split by the sign
@@ -173,7 +168,7 @@ def integer_points(rows, nvars, limit=None):
     levels = []
     for system in reversed(systems):
         zero, upper, lower = [], [], []
-        for a, (b, _) in system.items():
+        for a, b in system.items():
             c = a[-1]
             if c == 0:
                 zero.append((a[:-1], b))
@@ -207,16 +202,6 @@ def integer_points(rows, nvars, limit=None):
 
     sweep((), 0)
     return results
-
-
-def _feasible(rows, nvars):
-    """Real feasibility of a system via full elimination (strictness kept)."""
-    system = _system(rows, floor=False)
-    for _ in range(nvars):
-        if system is None:
-            break
-        system = _eliminate_last(system, floor=False)
-    return system is not None
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +267,8 @@ class Face:
 class HalfspaceSystem:
     """Exact H-representation {x : a x <= b}."""
 
-    a: tuple[tuple[Fraction, ...], ...]
-    b: tuple[Fraction, ...]
-
-    @property
-    def nvars(self) -> int:
-        return len(self.a[0]) if self.a else 0
+    a: tuple[tuple[int, ...], ...]
+    b: tuple[int, ...]
 
     def rows(self, strict=False):
         return [(ai, bi, strict) for ai, bi in zip(self.a, self.b)]
@@ -299,9 +280,6 @@ class HalfspaceSystem:
             if lhs > bi or (strict and lhs == bi):
                 return False
         return True
-
-    def is_feasible(self) -> bool:
-        return _feasible(self.rows(), self.nvars)
 
 
 @dataclass(frozen=True)
@@ -368,7 +346,10 @@ def facets(s: LatticeSimplex) -> list[Face]:
 
 
 def _facet_inequality(s: LatticeSimplex, omit: int):
-    """Inward inequality (a, b) tight on the facet omitting vertex `omit`."""
+    """Inward inequality (a, b) tight on the facet omitting vertex `omit`.
+
+    The normal and the rhs are ints divided by the gcd of all of them.
+    """
     d = s.dim
     w = [s.vertices[j] for j in range(d + 1) if j != omit]
     # Normal via cofactors of the (d x (d-1)) edge matrix of the facet.
@@ -378,7 +359,7 @@ def _facet_inequality(s: LatticeSimplex, omit: int):
     normal = []
     for i in range(d):
         minor = [edges[r] for r in range(d) if r != i]
-        cof = det(minor) if d > 1 else Fraction(1)
+        cof = int(det(minor)) if d > 1 else 1
         normal.append(cof if i % 2 == 0 else -cof)
     b = sum(n * c for n, c in zip(normal, w[0]))
     inside = sum(n * c for n, c in zip(normal, s.vertices[omit]))
@@ -387,35 +368,49 @@ def _facet_inequality(s: LatticeSimplex, omit: int):
     if inside > b:
         normal = [-n for n in normal]
         b = -b
-    # Normalize integer rows by gcd for readability and stability.
-    ints = [int(n) for n in normal] + [int(b)]
-    g = gcd(*ints)
-    if g > 1:
-        normal = [Fraction(n, g) for n in normal]
-        b = Fraction(b, g)
-    return tuple(Fraction(n) for n in normal), Fraction(b)
+    g = gcd(b, *normal)
+    return tuple(n // g for n in normal), b // g
+
+
+def _cached(s: LatticeSimplex, key, compute, limit=None):
+    """The fact ``key`` about s, ``compute()`` once per instance.
+
+    Facts live in a dict on the frozen instance: they pickle with it and
+    take no part in ``==`` or ``hash``.  A point list computed under
+    ``limit`` is kept only when complete, and answers any ``limit`` with
+    its first limit + 1 points.  Lists are returned as new lists.
+    """
+    facts = s.__dict__.setdefault("_facts", {})
+    if key not in facts:
+        value = compute()
+        if limit is not None and len(value) > limit:
+            return value
+        facts[key] = value
+    value = facts[key]
+    if isinstance(value, list):
+        return value[: None if limit is None else limit + 1]
+    return value
 
 
 def hrep(s: LatticeSimplex) -> HalfspaceSystem:
-    """d+1 inequalities; x in s iff all hold, x in int(s) iff all strict.
-
-    Row j is the facet opposite vertex j.  Computed once per simplex and
-    kept on the (frozen) instance.
+    """d+1 integer inequalities; x in s iff all hold, x in int(s) iff all
+    strict.  Row j is the facet opposite vertex j.  Computed once per
+    simplex.
     """
-    h = s.__dict__.get("_hrep")
-    if h is None:
-        rows = [_facet_inequality(s, i) for i in range(s.dim + 1)]
-        h = HalfspaceSystem(
-            tuple(a for a, _ in rows), tuple(b for _, b in rows)
-        )
-        object.__setattr__(s, "_hrep", h)
-    return h
+    rows = (_facet_inequality(s, i) for i in range(s.dim + 1))
+    return _cached(s, "hrep", lambda: HalfspaceSystem(*zip(*rows)))
 
 
 def interior_points(s: LatticeSimplex, limit=None) -> list[tuple[int, ...]]:
-    """All lattice points with strictly positive barycentric coordinates."""
-    h = hrep(s)
-    return integer_points(h.rows(strict=True), s.dim, limit=limit)
+    """All lattice points with strictly positive barycentric coordinates,
+    truncated by ``limit`` as in ``integer_points``; computed once per
+    simplex.
+    """
+    return _cached(
+        s, "interior",
+        lambda: integer_points(hrep(s).rows(strict=True), s.dim, limit=limit),
+        limit,
+    )
 
 
 def relint_points(f: Face, limit=None) -> list[tuple[int, ...]]:
@@ -423,37 +418,24 @@ def relint_points(f: Face, limit=None) -> list[tuple[int, ...]]:
 
     The facets opposite the vertices of f are strict, the facets through
     f are equalities.  The relative interior of a dimension-0 face is the
-    vertex itself.
+    vertex itself.  ``limit`` truncates as in ``integer_points``; computed
+    once per face.
     """
     if f.dim == 0:
         return [tuple(f.vertices[0])]
-    h = hrep(f.parent)
-    rows = []
-    for j, (aj, bj) in enumerate(zip(h.a, h.b)):
-        if j in f.vertex_indices:
-            rows.append((aj, bj, True))
-        else:
-            rows.append((aj, bj, False))
-            rows.append((tuple(-c for c in aj), -bj, False))
-    return integer_points(rows, f.parent.dim, limit=limit)
 
+    def compute():
+        h = hrep(f.parent)
+        rows = []
+        for j, (aj, bj) in enumerate(zip(h.a, h.b)):
+            if j in f.vertex_indices:
+                rows.append((aj, bj, True))
+            else:
+                rows.append((aj, bj, False))
+                rows.append((tuple(-c for c in aj), -bj, False))
+        return integer_points(rows, f.parent.dim, limit=limit)
 
-def slice_system(s: LatticeSimplex, t) -> HalfspaceSystem:
-    """H-representation of {y in R^{d-1} : (y, t) in s}."""
-    if s.dim < 2:
-        raise ValueError("slices require ambient dimension >= 2")
-    t = Fraction(t)
-    h = hrep(s)
-    a_rows = []
-    b_rows = []
-    for ai, bi in zip(h.a, h.b):
-        coeffs = ai[:-1]
-        rhs = bi - ai[-1] * t
-        if all(c == 0 for c in coeffs) and rhs >= 0:
-            continue  # satisfied degenerate row; keep infeasible ones
-        a_rows.append(coeffs)
-        b_rows.append(rhs)
-    return HalfspaceSystem(tuple(a_rows), tuple(b_rows))
+    return _cached(f.parent, ("relint", f.vertex_indices), compute, limit)
 
 
 def collinear(points) -> bool:

@@ -126,11 +126,12 @@ def ingest_census(path, expected_k: int) -> list[LatticeSimplex]:
     for idx, rec in enumerate(records, 1):
         s = rec.to_simplex()
         name = rec.label or f"record {idx}"
-        count = len(interior_points(s, limit=expected_k + 1))
+        count = len(interior_points(s, limit=expected_k))
         if count != expected_k:
+            found = f"more than {expected_k}" if count > expected_k else count
             raise DataIntegrityError(
                 f"{name}: expected {expected_k} interior lattice points, "
-                f"found {count}"
+                f"found {found}"
             )
         key = canonical_form(s).key()
         if key in seen:
@@ -146,9 +147,10 @@ def _rat(x) -> str:
     return str(Fraction(x))
 
 
-def analyze_simplex(vertices) -> dict:
-    """Full per-simplex bound report (the unit of CLI/JSON output)."""
-    s = LatticeSimplex(vertices)
+def analyze_simplex(s) -> dict:
+    """Full per-simplex bound report (the unit of CLI/JSON output) of a
+    ``LatticeSimplex``, whose cached facts it reuses, or of its vertices."""
+    s = s if isinstance(s, LatticeSimplex) else LatticeSimplex(s)
     pts = interior_points(s)
     k = len(pts)
     vol = volume(s)
@@ -198,15 +200,15 @@ def outlook_report(census) -> dict:
     """Count census members with a one-relint-point facet and those whose
     per-interior-point bound strictly exceeds vol(S_{3,2}) = 18."""
     threshold = volume(zpw_simplex(3, 2))
-    vertex_lists = [s.vertices for s in census]
     # Under fork the pool starts all max_workers processes at the first
-    # submit, so ask for no more than there are records.
-    workers = min(_worker_count(), len(vertex_lists))
+    # submit, so ask for no more than there are records.  The simplices
+    # travel to the workers with their cached facts.
+    workers = min(_worker_count(), len(census))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            details = list(pool.map(analyze_simplex, vertex_lists))
+            details = list(pool.map(analyze_simplex, census))
     else:
-        details = [analyze_simplex(v) for v in vertex_lists]
+        details = [analyze_simplex(s) for s in census]
     details.sort(key=lambda d: d["canonical"])
     for d in details:
         d["nuExceedsThreshold"] = (

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .exact import det, hnf, identity, mat_vec
-from .geometry import LatticeSimplex
+from .geometry import LatticeSimplex, _cached
 
 
 @dataclass(frozen=True)
@@ -61,17 +61,19 @@ def canonical_form(s: LatticeSimplex) -> CanonicalForm:
 
     Basing the edge matrix at each candidate vertex quotients out
     translations; HNF quotients the left unimodular action; minimizing
-    over all (d+1)! orderings quotients vertex relabelling.
+    over all (d+1)! orderings quotients vertex relabelling.  Computed once
+    per simplex.
     """
-    d = s.dim
-    verts = s.vertices
+    d, verts = s.dim, s.vertices
     # Row lists of one shape compare like their flattened entries.
-    h = min(
+    forms = (
         hnf([[w[i] - v[i] for w in perm] for i in range(d)])
         for b, v in enumerate(verts)
         for perm in permutations(verts[:b] + verts[b + 1:])
     )
-    return CanonicalForm(tuple(map(tuple, h)))
+    return _cached(
+        s, "canonical", lambda: CanonicalForm(tuple(map(tuple, min(forms))))
+    )
 
 
 def equivalent(a: LatticeSimplex, b: LatticeSimplex) -> bool:

@@ -2,8 +2,8 @@
 
 Rows are (coeffs, rhs, strict) over the rationals, eliminated exactly with
 ``Fraction`` arithmetic and swept with ceil/floor of rational bounds.
-``latticebound.geometry.integer_points`` and ``HalfspaceSystem.is_feasible``
-must agree with ``integer_points`` and ``_feasible`` here.
+``latticebound.geometry.integer_points`` must agree with ``integer_points``
+here.
 """
 
 from fractions import Fraction
@@ -98,16 +98,3 @@ def integer_points(rows, nvars, limit=None):
     sweep((), 0)
     return results
 
-
-def _feasible(rows, nvars):
-    """Real feasibility of a system via full FM elimination."""
-    rows = [
-        (tuple(Fraction(c) for c in a), Fraction(b), strict)
-        for a, b, strict in rows
-    ]
-    for v in range(nvars, 0, -1):
-        rows = _eliminate_last(rows, v)
-    for _, b, strict in rows:
-        if b < 0 or (b == 0 and strict):
-            return False
-    return True

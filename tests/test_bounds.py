@@ -243,9 +243,17 @@ class TestProofTrace:
         # the image lattice has determinant 1/|det V| = 1/(d! vol)
         assert tr.lattice.det == F(1, 72)
 
-    def test_phi_is_the_inverse_edge_matrix(self, sample_census_path):
+    def test_phi_is_the_inverse_edge_matrix(self, sample_census_path,
+                                            monkeypatch):
         # phi from hrep equals V^{-1}, V the facet vertices minus the
-        # opposite vertex as columns, on every qualifying facet
+        # opposite vertex as columns, on every qualifying facet; its
+        # entries are built as Fractions, not divided into floats
+        from latticebound import bounds
+
+        built = []
+        lattice = bounds.Lattice
+        monkeypatch.setattr(
+            bounds, "Lattice", lambda phi: built.append(phi) or lattice(phi))
         shapes = [zpw_simplex(d, k) for d, k in
                   [(2, 0), (2, 1), (2, 3), (3, 1), (3, 2), (4, 1)]]
         shapes += [t_simplex(d) for d in (2, 3, 4)]
@@ -259,6 +267,7 @@ class TestProofTrace:
                          for i in range(s.dim)]
                 phi = tuple(map(tuple, mat_inverse(v_mat)))
                 assert proof_trace(s, f).lattice.basis == phi
+                assert all(type(c) is F for row in built.pop() for c in row)
                 checked += 1
         assert checked >= len(shapes)
 

@@ -251,6 +251,27 @@ class TestUsage:
         assert err.startswith("error:") and err.count("\n") == 1
         assert argv[-2] in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("facet", ["-1", "4"])
+    @pytest.mark.parametrize("argv", [
+        ["count", "relint"],
+        ["bound", "facet"],
+        ["bound", "vdc"],
+        ["certify", "equality"],
+    ])
+    def test_facet_out_of_range_is_usage(self, capsys, monkeypatch, argv,
+                                         facet):
+        code, out, err = run(argv + ["--facet", facet], stdin=S32,
+                             capsys=capsys, monkeypatch=monkeypatch)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--facet" in err and "0..3" in err
+
+    def test_facet_without_one_relint_point_fails(self, capsys, monkeypatch):
+        code, out, err = run(["bound", "facet", "--facet", "2"], stdin=UNIT,
+                             capsys=capsys, monkeypatch=monkeypatch)
+        assert code == EXIT_VERIFICATION and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_unreadable_input_is_usage(self, capsys, tmp_path):
         code, out, err = run(["count", "interior", "--input", str(tmp_path)],
                              capsys=capsys)

@@ -1,5 +1,7 @@
+import pickle
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,14 +14,16 @@ from latticebound import (
     LatticePolygon,
     LatticeSimplex,
     barycentric,
+    canonical_form,
     collinear,
     facets,
+    geometry,
     hrep,
     interior_points,
     polygon_counts,
     relint_points,
-    slice_system,
     solve,
+    unimodular,
     volume,
     zpw_simplex,
 )
@@ -114,7 +118,9 @@ class TestHrep:
         normalized = set()
         for ai, bi in zip(h.a, h.b):
             scale = abs(bi) if bi != 0 else abs(next(c for c in ai if c != 0))
-            normalized.add(tuple(c / scale for c in ai) + (bi / scale,))
+            normalized.add(
+                tuple(F(c, scale) for c in ai) + (F(bi, scale),)
+            )
         assert normalized == {
             (-1, 0, 0),
             (0, -1, 0),
@@ -129,6 +135,13 @@ class TestHrep:
         assert h.contains([1, 1], strict=True)
         assert h.contains([2, 0]) and not h.contains([2, 1])
 
+    def test_integer_rows(self):
+        s = LatticeSimplex([(1, 2, 3), (4, 2, 3), (1, 7, 4), (2, 3, 9)])
+        h = hrep(s)
+        for ai, bi in zip(h.a, h.b):
+            assert all(type(c) is int for c in ai + (bi,))
+            assert gcd(bi, *ai) == 1
+
 
 class TestInteriorPoints:
     def test_unit_simplices_hollow(self):
@@ -140,6 +153,12 @@ class TestInteriorPoints:
 
     def test_s32(self):
         assert interior_points(zpw_simplex(3, 2)) == [(1, 1, 1), (1, 1, 2)]
+
+    def test_zpw_one_point_per_height(self):
+        # the interior points of S_{d,k} sit one at each height 1..k
+        for d, k in [(2, 2), (3, 2), (3, 3)]:
+            heights = [p[-1] for p in interior_points(zpw_simplex(d, k))]
+            assert heights == list(range(1, k + 1))
 
     @pytest.mark.parametrize(
         "verts",
@@ -232,47 +251,62 @@ def test_face_queries_match_box_scan_oracle(verts):
                 with pytest.raises(HullMembershipError):
                     barycentric(x, f)
                 continue
-            assert barycentric(x, f) == lam
+            betas = barycentric(x, f)
+            assert betas == lam
+            assert all(type(b) is Fraction for b in betas)
             if all(c > 0 for c in lam):
                 relint.append(x)
         assert relint_points(f) == relint
         assert relint_points(f, limit=0) == relint[:1]
 
 
-class TestSlice:
-    def test_bottom_slice_recovers_base(self):
-        s = zpw_simplex(3, 1)
-        sl = slice_system(s, 0)
-        assert sl.contains([1, 1], strict=True)
-        assert sl.contains([2, 0]) and not sl.contains([2, 1])
+class TestCachedFacts:
+    @settings(max_examples=40, deadline=None)
+    @given(small_simplex, st.data())
+    def test_any_order_of_limits_matches_a_fresh_simplex(self, verts, data):
+        try:
+            s = LatticeSimplex(verts)
+        except DegeneracyError:
+            assume(False)
+        asks = [(f, limit) for f in [None, *all_faces(s)]
+                for limit in (None, 0, 1, 2)]
+        for f, limit in data.draw(st.permutations(asks)):
+            fresh = LatticeSimplex(verts)
+            if f is None:
+                got = interior_points(s, limit)
+                want = interior_points(fresh, limit)
+            else:
+                got = relint_points(f, limit)
+                want = relint_points(Face(fresh, f.vertex_indices), limit)
+            assert got == want
 
-    def test_apex_slice_single_point(self):
-        s = zpw_simplex(2, 1)
-        sl = slice_system(s, 4)
-        assert sl.contains([0]) and not sl.contains([1])
-        assert sl.is_feasible()
+    def test_returned_lists_are_new(self):
+        s = zpw_simplex(3, 2)
+        bottom = Face(s, (0, 1, 2))
+        for answer in (interior_points(s), interior_points(s, limit=0),
+                       relint_points(bottom), relint_points(bottom, limit=1)):
+            answer.clear()
+            answer.append((9, 9, 9))
+        assert interior_points(s) == [(1, 1, 1), (1, 1, 2)]
+        assert interior_points(s, limit=0) == [(1, 1, 1)]
+        assert relint_points(bottom) == [(1, 1, 0)]
 
-    def test_slice_interval(self):
-        # substitute the height into the H-representation of S_{2,1}
-        sl = slice_system(zpw_simplex(2, 1), 1)
-        assert sl.contains([0]) and sl.contains([F(3, 2)])
-        assert not sl.contains([F(3, 2) + F(1, 100)])
-        assert not sl.contains([F(-1, 100)])
+    def test_facts_survive_pickle(self, monkeypatch):
+        s = zpw_simplex(3, 2)
+        facts = (hrep(s), interior_points(s),
+                 [relint_points(f) for f in facets(s)], canonical_form(s))
+        t = pickle.loads(pickle.dumps(s))
+        assert t == s and hash(t) == hash(s)
 
-    def test_infeasible_slice(self):
-        sl = slice_system(zpw_simplex(2, 1), 5)
-        assert not sl.is_feasible()
+        def recomputed(*args, **kwargs):
+            raise AssertionError("a cached fact was recomputed")
 
-    def test_integer_slices_match_interior(self):
-        for d, k in [(2, 2), (3, 2), (3, 3)]:
-            s = zpw_simplex(d, k)
-            interior = set(interior_points(s))
-            for t in range(1, k + 1):
-                sl = slice_system(s, t)
-                at_height = {p for p in interior if p[-1] == t}
-                for p in at_height:
-                    assert sl.contains(p[:-1], strict=True)
-                assert len(at_height) == 1
+        monkeypatch.setattr(geometry, "_facet_inequality", recomputed)
+        monkeypatch.setattr(geometry, "integer_points", recomputed)
+        monkeypatch.setattr(unimodular, "hnf", recomputed)
+        assert (hrep(t), interior_points(t),
+                [relint_points(f) for f in facets(t)],
+                canonical_form(t)) == facts
 
 
 class TestCollinear:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -90,8 +91,21 @@ class TestIngest:
     def test_wrong_interior_count(self, tmp_path):
         p = tmp_path / "census.txt"
         p.write_text(format_simplex(zpw_simplex(3, 1)))
-        with pytest.raises(DataIntegrityError):
+        with pytest.raises(DataIntegrityError) as exc:
             ingest_census(str(p), 2)
+        assert str(exc.value).endswith(
+            "expected 2 interior lattice points, found 1")
+
+    def test_too_many_interior_points(self, tmp_path):
+        # conv(o, 8e1, 8e2, 8e3) has 35 interior points; only k+1 are
+        # enumerated, so the message does not pretend to know the count
+        p = tmp_path / "census.txt"
+        p.write_text(format_simplex(LatticeSimplex(
+            [(0, 0, 0), (8, 0, 0), (0, 8, 0), (0, 0, 8)])))
+        with pytest.raises(DataIntegrityError) as exc:
+            ingest_census(str(p), 3)
+        assert str(exc.value).endswith(
+            "expected 3 interior lattice points, found more than 3")
 
     def test_duplicate_class(self, tmp_path):
         s = zpw_simplex(3, 2)
@@ -163,6 +177,32 @@ class TestOutlookReport:
         monkeypatch.setenv("LATTICEBOUND_THREADS", "64")
         assert outlook_report(census) == serial
         assert requested == [3]
+
+    def test_each_fact_computed_once(self, sample_census_path, monkeypatch):
+        # one canonical form (24 HNFs at d=3) per record, shared by ingest
+        # and report; interior points once per record, each facet's relint
+        # points once, one box enumeration per record with a facet bound
+        from latticebound import bounds, geometry, unimodular
+
+        monkeypatch.delenv("LATTICEBOUND_THREADS", raising=False)
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        points = counting("integer_points", geometry.integer_points)
+        monkeypatch.setattr(geometry, "integer_points", points)
+        monkeypatch.setattr(bounds, "integer_points", points)
+        monkeypatch.setattr(unimodular, "hnf",
+                            counting("hnf", unimodular.hnf))
+        report = outlook_report(ingest_census(sample_census_path, 2))
+        assert report["total"] == 10
+        assert calls["hnf"] == 240
+        assert calls["integer_points"] <= 64
 
     def test_hollow_member(self):
         hollow = LatticeSimplex([(0, 0), (1, 0), (0, 1)])

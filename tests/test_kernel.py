@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import fm_oracle
 from latticebound import (
     EnumerationError,
-    HalfspaceSystem,
     facets,
     geometry,
     relint_points,
@@ -55,16 +54,6 @@ def test_integer_points_match_fraction_oracle(system):
         assert integer_points(rows, d, limit=limit) == expected[: limit + 1]
 
 
-@settings(max_examples=200, deadline=None)
-@given(bounded_systems())
-def test_is_feasible_matches_fraction_oracle(system):
-    rows, d = system
-    h = HalfspaceSystem(tuple(a for a, _, _ in rows),
-                        tuple(b for _, b, _ in rows))
-    assert h.is_feasible() == fm_oracle._feasible(h.rows(), d)
-    assert geometry._feasible(rows, d) == fm_oracle._feasible(rows, d)
-
-
 def test_infeasible_system_is_empty():
     rows = [((1, 0), 3, False), ((-1, 0), 0, False), ((0, 1), 3, False),
             ((0, -1), 0, False), ((1, 1), 1, True), ((-1, -1), -1, True)]
@@ -76,7 +65,6 @@ def test_lattice_free_slab_is_empty():
     rows = [((1, 0), 5, False), ((-1, 0), 5, False),
             ((2, 2), 2, True), ((-2, -2), 0, True)]
     assert integer_points(rows, 2) == fm_oracle.integer_points(rows, 2) == []
-    assert geometry._feasible(rows, 2) and fm_oracle._feasible(rows, 2)
 
 
 @pytest.mark.parametrize("rows, nvars", [
@@ -96,27 +84,25 @@ def test_no_variables():
     assert integer_points([((), -1, False)], 0) == [()]
 
 
-@pytest.mark.parametrize("rows, nvars, feasible", [
-    # two strict rows touching at the single real point x = 1/2
-    ([((2,), 1, True), ((-2,), -1, True)], 1, False),
-    ([((2,), 1, False), ((-2,), -1, True)], 1, False),
-    ([((2,), 1, False), ((-2,), -1, False)], 1, True),
-    # x + y < 1 touches the quadrant x, y >= 1/2 only at (1/2, 1/2)
-    ([((1, 1), 1, True), ((-1, 0), Fraction(-1, 2), False),
-      ((0, -1), Fraction(-1, 2), False)], 2, False),
-    ([((1, 1), 1, False), ((-1, 0), Fraction(-1, 2), False),
-      ((0, -1), Fraction(-1, 2), False)], 2, True),
+@pytest.mark.parametrize("rows, nvars, expected", [
+    # two strict rows touching at the single lattice point x = 1
+    ([((2,), 2, True), ((-2,), -2, True)], 1, []),
+    ([((2,), 2, False), ((-2,), -2, True)], 1, []),
+    ([((2,), 2, False), ((-2,), -2, False)], 1, [(1,)]),
+    # x + y < 2 touches the quadrant x, y >= 1 only at (1, 1)
+    ([((1, 1), 2, True), ((-1, 0), -1, False),
+      ((0, -1), -1, False)], 2, []),
+    ([((1, 1), 2, False), ((-1, 0), -1, False),
+      ((0, -1), -1, False)], 2, [(1, 1)]),
     # the corner of a strict cone: y > x and y < -x touch only at the origin
-    ([((1, -1), 0, True), ((1, 1), 0, True), ((-1, 0), 0, False)], 2, False),
-    ([((1, -1), 0, False), ((1, 1), 0, False), ((-1, 0), 0, False)], 2, True),
+    ([((1, -1), 0, True), ((1, 1), 0, True), ((-1, 0), 0, False)], 2, []),
+    ([((1, -1), 0, False), ((1, 1), 0, False), ((-1, 0), 0, False)], 2,
+     [(0, 0)]),
 ])
-def test_is_feasible_on_strict_boundaries(rows, nvars, feasible):
-    assert fm_oracle._feasible(rows, nvars) is feasible
-    assert geometry._feasible(rows, nvars) is feasible
-    if not any(strict for _, _, strict in rows):
-        h = HalfspaceSystem(tuple(a for a, _, _ in rows),
-                            tuple(b for _, b, _ in rows))
-        assert h.is_feasible() is feasible
+def test_integer_points_on_strict_boundaries(rows, nvars, expected):
+    """Strict rows that meet only at one lattice point exclude it."""
+    assert fm_oracle.integer_points(rows, nvars) == expected
+    assert integer_points(rows, nvars) == expected
 
 
 def test_equality_is_substituted(monkeypatch):
@@ -141,6 +127,6 @@ def test_equality_is_substituted(monkeypatch):
         eq = [a for a, _, strict in rows if not strict]
         if eq[0][-1] != 0:
             substituted += 1
-            out = _eliminate_last(_system(rows, floor=True), floor=True)
+            out = _eliminate_last(_system(rows))
             assert len(out) <= len(rows) - 2
     assert substituted == 2
