@@ -19,6 +19,7 @@ from .exact import mat_vec, primitive_direction
 from .geometry import (
     Face,
     LatticeSimplex,
+    _cached,
     barycentric,
     check,
     collinear,
@@ -63,20 +64,25 @@ class Lattice:
         """Lattice points y with |y_i| < betas[i] for all i.
 
         Enumerates integer preimages z with basis . z in the open box,
-        pushing the box constraints back through the basis.
+        pushing the box constraints back through the basis.  ``limit``
+        truncates as in ``integer_points``; computed once per box.
         """
         d = self.dim
-        betas = [Fraction(b) for b in betas]
+        betas = tuple(Fraction(b) for b in betas)
         if len(betas) != d or any(b <= 0 for b in betas):
             raise ValueError("box half-widths must be positive, one per axis")
-        rows = []
-        for i in range(d):
-            row = tuple(self.basis[i][j] for j in range(d))
-            rows.append((row, betas[i], True))
-            rows.append((tuple(-c for c in row), betas[i], True))
-        zs = integer_points(rows, d, limit=limit)
-        basis = [list(r) for r in self.basis]
-        return [tuple(mat_vec(basis, list(z))) for z in zs]
+
+        def compute():
+            rows = []
+            for i in range(d):
+                row = tuple(self.basis[i][j] for j in range(d))
+                rows.append((row, betas[i], True))
+                rows.append((tuple(-c for c in row), betas[i], True))
+            zs = integer_points(rows, d, limit=limit)
+            basis = [list(r) for r in self.basis]
+            return [tuple(mat_vec(basis, list(z))) for z in zs]
+
+        return _cached(self, ("box", betas), compute, limit)
 
 
 @dataclass(frozen=True)

@@ -131,46 +131,64 @@ def is_unimodular(u) -> bool:
     )
 
 
+def _hnf_column(h, col) -> None:
+    """Bring column ``col`` of the integer rows h into Hermite form.
+
+    Columns before ``col`` must already be in Hermite form in rows
+    0..col-1.  Euclid's reduction among rows col.. leaves one nonzero
+    entry below the diagonal, which is moved to row ``col`` and made
+    positive; the entries above it are then reduced into [0, pivot).
+    Rows are replaced, never changed in place, so a shallow copy of h
+    may share its rows with h.
+    """
+    rows = len(h)
+    while True:
+        nz = [i for i in range(col, rows) if h[i][col]]
+        if len(nz) < 2:
+            break
+        # Reduce every other row by the smallest entry of the column.
+        small = nz[0]
+        for i in nz:
+            if abs(h[i][col]) < abs(h[small][col]):
+                small = i
+        pivot = h[small]
+        p = pivot[col]
+        for i in nz:
+            if i != small:
+                q = h[i][col] // p
+                h[i] = [a - q * b for a, b in zip(h[i], pivot)]
+    if not nz:
+        raise LinAlgError("matrix is rank deficient")
+    i = nz[0]
+    h[col], h[i] = h[i], h[col]
+    if h[col][col] < 0:
+        h[col] = [-x for x in h[col]]
+    p = h[col][col]
+    for i in range(col):
+        q = h[i][col] // p
+        if q:
+            h[i] = [a - q * b for a, b in zip(h[i], h[col])]
+
+
 def hnf(m) -> list[list[int]]:
     """Hermite normal form of an integer matrix under left unimodular action.
 
     Returns h = u m for some unimodular u, with h upper triangular with
     positive diagonal and every entry above a pivot reduced into
     [0, pivot).  This normalization makes h the unique representative of
-    the left coset of m, which is what canonical forms rely on.
+    the left coset of m, which is what canonical forms rely on.  The
+    argument is not changed.
     """
     if not m or any(len(row) != len(m[0]) for row in m):
         raise LinAlgError("matrix is empty or ragged")
     if any(int(x) != x for row in m for x in row):
         raise LinAlgError("hnf requires integer entries")
-    rows = len(m)
     cols = len(m[0])
-    if cols > rows:
+    if cols > len(m):
         raise LinAlgError("matrix cannot have full column rank")
     h = [[int(x) for x in row] for row in m]
-    pivot_row = 0
     for col in range(cols):
-        # Euclidean reduction among rows pivot_row.. on this column.
-        while True:
-            nz = [i for i in range(pivot_row, rows) if h[i][col] != 0]
-            if not nz:
-                raise LinAlgError("matrix is rank deficient")
-            if len(nz) == 1:
-                i = nz[0]
-                h[pivot_row], h[i] = h[i], h[pivot_row]
-                break
-            nz.sort(key=lambda i: abs(h[i][col]))
-            small, other = nz[0], nz[1]
-            q = h[other][col] // h[small][col]
-            h[other] = [a - q * b for a, b in zip(h[other], h[small])]
-        if h[pivot_row][col] < 0:
-            h[pivot_row] = [-x for x in h[pivot_row]]
-        p = h[pivot_row][col]
-        for i in range(pivot_row):
-            q = h[i][col] // p
-            if q:
-                h[i] = [a - q * b for a, b in zip(h[i], h[pivot_row])]
-        pivot_row += 1
+        _hnf_column(h, col)
     return h
 
 

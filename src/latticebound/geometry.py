@@ -372,8 +372,9 @@ def _facet_inequality(s: LatticeSimplex, omit: int):
     return tuple(n // g for n in normal), b // g
 
 
-def _cached(s: LatticeSimplex, key, compute, limit=None):
-    """The fact ``key`` about s, ``compute()`` once per instance.
+def _cached(s, key, compute, limit=None):
+    """The fact ``key`` about s, a simplex or a ``bounds.Lattice``,
+    ``compute()`` once per instance.
 
     Facts live in a dict on the frozen instance: they pickle with it and
     take no part in ``==`` or ``hash``.  A point list computed under

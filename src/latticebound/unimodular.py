@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
 
-from .exact import det, hnf, identity, mat_vec
+from .exact import _hnf_column, det, hnf, identity, mat_vec
 from .geometry import LatticeSimplex, _cached
 
 
@@ -56,20 +55,51 @@ class CanonicalForm:
         return tuple(x for row in self.matrix for x in row)
 
 
+def _moved(h, col, j):
+    """The rows h with column j moved to position col."""
+    return [r[:col] + [r[j]] + r[col:j] + r[j + 1:] for r in h]
+
+
+def _reduced(h, col, j):
+    h = _moved(h, col, j)
+    _hnf_column(h, col)
+    return h
+
+
+def _least_hnf(h, col):
+    """Least hnf over the orders of the columns col.. of the square h,
+    whose columns before col are in Hermite form.
+
+    Each column put at position col is reduced once for every order that
+    continues from it.  The last two columns are not shared: hnf runs
+    once per order.
+    """
+    left = len(h) - col
+    if left == 1:
+        return hnf(h)
+    if left == 2:
+        return min(hnf(h), hnf(_moved(h, col, col + 1)))
+    return min(_least_hnf(_reduced(h, col, j), col + 1)
+               for j in range(col, len(h)))
+
+
 def canonical_form(s: LatticeSimplex) -> CanonicalForm:
     """Minimal HNF over all (base vertex, ordering) choices.
 
     Basing the edge matrix at each candidate vertex quotients out
     translations; HNF quotients the left unimodular action; minimizing
-    over all (d+1)! orderings quotients vertex relabelling.  Computed once
-    per simplex.
+    over all (d+1)! orderings quotients vertex relabelling.  Orderings
+    that share a prefix of edges share its elimination: since the HNF of
+    u m is the HNF of m for unimodular u, a depth-first walk reduces each
+    prefix's columns once and calls ``hnf`` once per ordering on the
+    prefix-reduced matrix.  Computed once per simplex.
     """
     d, verts = s.dim, s.vertices
     # Row lists of one shape compare like their flattened entries.
     forms = (
-        hnf([[w[i] - v[i] for w in perm] for i in range(d)])
+        _least_hnf([[w[i] - v[i] for w in verts[:b] + verts[b + 1:]]
+                    for i in range(d)], 0)
         for b, v in enumerate(verts)
-        for perm in permutations(verts[:b] + verts[b + 1:])
     )
     return _cached(
         s, "canonical", lambda: CanonicalForm(tuple(map(tuple, min(forms))))

@@ -166,6 +166,31 @@ class TestLattice:
         pts = lat.points_in_open_box([1, 1])
         assert len(pts) == 5 and all(p[1] == 0 for p in pts)
 
+    def test_box_points_computed_once(self, monkeypatch):
+        from latticebound import bounds
+
+        calls = []
+        enumerate_points = bounds.integer_points
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return enumerate_points(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "integer_points", counting)
+        lat = Lattice(((F(1, 3), 0), (0, 1)))
+        # a truncated list is not kept: the complete one is enumerated next
+        first = lat.points_in_open_box([1, 1], limit=0)
+        full = lat.points_in_open_box([1, 1])
+        again = lat.points_in_open_box((F(1), F(1)))
+        assert len(calls) == 2
+        assert first == full[:1] and again == full and again is not full
+        again.clear()
+        assert lat.points_in_open_box([1, 1]) == full
+        assert lat.points_in_open_box([1, 1], limit=1) == full[:2]
+        # another box on the same lattice is its own fact
+        assert len(lat.points_in_open_box([F(1, 2), 1])) == 3
+        assert len(calls) == 3
+
     def test_bad_box(self):
         lat = Lattice(((1, 0), (0, 1)))
         with pytest.raises(ValueError):

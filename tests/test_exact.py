@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from latticebound import LinAlgError, det, hnf, primitive_direction, solve
 from latticebound.exact import (
+    _hnf_column,
     identity,
     is_unimodular,
     mat_inverse,
@@ -85,6 +86,41 @@ class TestHnf:
     def test_rank_deficient(self):
         with pytest.raises(LinAlgError):
             hnf([[1, 2], [2, 4]])
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [],
+            [[1, 2], [3]],
+            [[1, Fraction(1, 2)], [0, 1]],
+            [[1, 0, 0], [0, 1, 0]],
+            [[0, 0], [0, 0], [0, 0]],
+        ],
+        ids=["empty", "ragged", "non-integer", "wide", "zero-tall"],
+    )
+    def test_invalid_input_raises(self, m):
+        with pytest.raises(LinAlgError):
+            hnf(m)
+
+    def test_argument_unchanged(self):
+        m = [[0, 3, 4], [2, -1, 5], [-4, 6, 1]]
+        rows = [list(r) for r in m]
+        ids = [id(r) for r in m]
+        hnf(m)
+        assert m == rows and [id(r) for r in m] == ids
+
+    def test_tall_matrix(self):
+        # more rows than columns: the rows below the last pivot vanish
+        assert hnf([[2, 1], [4, 3], [6, 5]]) == [[2, 0], [0, 1], [0, 0]]
+
+    def test_column_step_leaves_shared_rows_unchanged(self):
+        m = [[0, 3, 4], [2, -1, 5], [-4, 6, 1]]
+        h = [list(r) for r in m]
+        shared = h[:]
+        for col in range(3):
+            _hnf_column(h, col)
+        assert shared == m
+        assert h == hnf(m)
 
     def test_uniqueness_brute_force(self):
         # minimal normal form over small unimodular left factors

@@ -204,6 +204,25 @@ class TestOutlookReport:
         assert calls["hnf"] == 240
         assert calls["integer_points"] <= 64
 
+    def test_vdc_reuses_the_proof_trace_box(self, sample_census_path,
+                                            monkeypatch):
+        # vdc_check reads the box points proof_trace enumerated on the same
+        # lattice: one box enumeration fewer per record with a facet bound
+        from latticebound import bounds, geometry
+
+        monkeypatch.delenv("LATTICEBOUND_THREADS", raising=False)
+        calls = []
+        enumerate_points = geometry.integer_points
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return enumerate_points(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "integer_points", counting)
+        monkeypatch.setattr(bounds, "integer_points", counting)
+        outlook_report(ingest_census(sample_census_path, 2))
+        assert len(calls) <= 57
+
     def test_hollow_member(self):
         hollow = LatticeSimplex([(0, 0), (1, 0), (0, 1)])
         report = outlook_report([hollow])

@@ -1,7 +1,15 @@
+import random
+import tracemalloc
+from itertools import permutations
+from math import factorial
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latticebound import (
     AffineUnimodular,
+    DegeneracyError,
     LatticeSimplex,
     apply,
     canonical_form,
@@ -14,7 +22,64 @@ from latticebound import (
     volume,
     zpw_simplex,
 )
-from latticebound.exact import det
+from latticebound import unimodular
+from latticebound.exact import det, hnf
+
+
+def _oracle_hnf(m):
+    """Hermite normal form of a nonsingular square integer matrix, one
+    column at a time without the library's column step."""
+    h = [list(row) for row in m]
+    n = len(h)
+    for col in range(n):
+        while True:
+            nz = [i for i in range(col, n) if h[i][col] != 0]
+            if len(nz) == 1:
+                break
+            nz.sort(key=lambda i: abs(h[i][col]))
+            small, other = nz[0], nz[1]
+            q = h[other][col] // h[small][col]
+            h[other] = [a - q * b for a, b in zip(h[other], h[small])]
+        h[col], h[nz[0]] = h[nz[0]], h[col]
+        if h[col][col] < 0:
+            h[col] = [-x for x in h[col]]
+        for i in range(col):
+            q = h[i][col] // h[col][col]
+            h[i] = [a - q * b for a, b in zip(h[i], h[col])]
+    return h
+
+
+def _exhaustive_form(s):
+    """The least HNF of the edge matrix over every (base, ordering) pair,
+    each computed from scratch: the oracle for canonical_form."""
+    d, verts = s.dim, s.vertices
+    return min(
+        _oracle_hnf([[w[i] - v[i] for w in perm] for i in range(d)])
+        for b, v in enumerate(verts)
+        for perm in permutations(verts[:b] + verts[b + 1:])
+    )
+
+
+def _form(s):
+    return [list(row) for row in canonical_form(s).matrix]
+
+
+def _generic_simplex(d, seed):
+    rng = random.Random(seed)
+    while True:
+        verts = [tuple(rng.randint(-9, 9) for _ in range(d))
+                 for _ in range(d + 1)]
+        try:
+            return LatticeSimplex(verts)
+        except DegeneracyError:
+            continue
+
+
+small_simplex = st.integers(1, 4).flatmap(
+    lambda d: st.lists(
+        st.tuples(*[st.integers(-4, 4)] * d), min_size=d + 1, max_size=d + 1
+    )
+)
 
 
 class TestApply:
@@ -78,6 +143,62 @@ class TestCanonicalForm:
         for s in [zpw_simplex(2, 1), t_simplex(2), zpw_simplex(3, 1)]:
             phi = random_unimodular(s.dim, seed)
             assert canonical_form(apply(phi, s)) == canonical_form(s)
+
+
+class TestSharedPrefixForm:
+    """canonical_form shares prefix eliminations; the exhaustive min over
+    from-scratch HNFs is the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_simplex)
+    def test_matches_exhaustive_oracle(self, verts):
+        try:
+            s = LatticeSimplex(verts)
+        except DegeneracyError:
+            assume(False)
+        assert _form(s) == _exhaustive_form(s)
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    @pytest.mark.parametrize("k", range(3))
+    def test_zpw(self, d, k):
+        s = zpw_simplex(d, k)
+        assert _form(s) == _exhaustive_form(s)
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_t_simplex(self, d):
+        s = t_simplex(d)
+        assert _form(s) == _exhaustive_form(s)
+
+    def test_exceptional_p31(self):
+        s = exceptional_p31()
+        assert _form(s) == _exhaustive_form(s)
+
+    def test_generic_d6(self):
+        s = _generic_simplex(6, 0)
+        assert _form(s) == _exhaustive_form(s)
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_one_hnf_per_ordering(self, d, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(1)
+            return hnf(m)
+
+        monkeypatch.setattr(unimodular, "hnf", counting)
+        canonical_form(_generic_simplex(d, d))
+        assert len(calls) == factorial(d + 1)
+
+    def test_memory_stays_flat(self):
+        # a running minimum, not a list of all 5040 forms
+        s = _generic_simplex(6, 1)
+        tracemalloc.start()
+        try:
+            canonical_form(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 class TestEquivalent:
