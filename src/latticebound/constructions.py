@@ -2,32 +2,24 @@
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import factorial
 
 from .geometry import Face, LatticeSimplex, barycentric, check, volume
 
 
-_sylvester_cache = [2]
-_sylvester_lock = threading.Lock()
-
-
 def sylvester(i: int) -> int:
     """i-th term of 2, 3, 7, 43, 1807, ... with s_i = 1 + s_1 ... s_{i-1}."""
     if i < 1:
         raise ValueError("Sylvester index must be >= 1")
-    if i > len(_sylvester_cache):
-        with _sylvester_lock:
-            while i > len(_sylvester_cache):
-                prod = 1
-                for v in _sylvester_cache:
-                    prod *= v
-                nxt = 1 + prod
-                # product identity s_1 ... s_{n-1} = s_n - 1, by construction
-                check(prod == nxt - 1, "Sylvester product identity fails")
-                _sylvester_cache.append(nxt)
-    return _sylvester_cache[i - 1]
+    s, prod = 2, 1
+    for _ in range(i - 1):
+        prod *= s
+        nxt = s * s - s + 1
+        # the recurrence must agree with s_1 ... s_n = s_{n+1} - 1
+        check(prod == nxt - 1, "Sylvester product identity fails")
+        s = nxt
+    return s
 
 
 def _axis_simplex(scales) -> LatticeSimplex:

@@ -1,8 +1,11 @@
-"""Exact rational linear algebra: determinants, solving, Hermite normal form.
+"""Exact linear algebra: determinants, solving, Hermite normal form.
 
-Everything in here works over arbitrary-precision integers and
-``fractions.Fraction``.  There is deliberately no floating point anywhere;
-every downstream check is an exact equality or exact inequality.
+Everything in here works over arbitrary-precision integers: rational
+input (``int`` or ``fractions.Fraction`` entries) is scaled once to
+integers by ``scaled``, and a ``Fraction`` is built only for a result
+that is rational.  There is deliberately no floating point anywhere (a
+float entry raises); every downstream check is an exact equality or
+exact inequality.
 """
 
 from __future__ import annotations
@@ -22,15 +25,15 @@ def _check_square(m):
     return n
 
 
-def _clear_denominators(m):
-    """Scale each row to integers; return (int rows, product of scales)."""
-    rows = []
-    scale = 1
-    for row in m:
-        mult = lcm(*(Fraction(x).denominator for x in row)) if row else 1
-        rows.append([int(Fraction(x) * mult) for x in row])
-        scale *= mult
-    return rows, scale
+def scaled(v) -> tuple[list[int], int]:
+    """(ints, m) for a sequence v: m is the lcm of its denominators, ints
+    is v times m.
+
+    Reads ``numerator`` and ``denominator``, which ``int`` and
+    ``Fraction`` both have, so it builds no ``Fraction``.
+    """
+    m = lcm(*(x.denominator for x in v))
+    return [x.numerator * (m // x.denominator) for x in v], m
 
 
 def _bareiss(a, n) -> int:
@@ -62,9 +65,17 @@ def _bareiss(a, n) -> int:
 
 
 def det(m) -> Fraction:
-    """Exact determinant via Bareiss fraction-free elimination."""
+    """Exact determinant via Bareiss fraction-free elimination.
+
+    Each row is scaled to integers, so the result is the one ``Fraction``
+    built.
+    """
     n = _check_square(m)
-    a, scale = _clear_denominators(m)
+    a, scale = [], 1
+    for row in m:
+        ints, mult = scaled(row)
+        a.append(ints)
+        scale *= mult
     sign = _bareiss(a, n)
     return Fraction(sign * a[n - 1][n - 1], scale)
 
@@ -74,8 +85,7 @@ def solve(m, rhs) -> list[Fraction]:
     n = _check_square(m)
     if len(rhs) != n:
         raise LinAlgError("right-hand side has wrong length")
-    aug = [list(row) + [r] for row, r in zip(m, rhs)]
-    a, _ = _clear_denominators(aug)
+    a = [scaled([*row, r])[0] for row, r in zip(m, rhs)]
     if _bareiss(a, n) == 0 or a[n - 1][n - 1] == 0:
         raise LinAlgError("matrix is singular")
     x = [Fraction(0)] * n
@@ -126,9 +136,7 @@ def is_unimodular(u) -> bool:
         d = det(u)
     except LinAlgError:
         return False
-    return abs(d) == 1 and all(
-        Fraction(x).denominator == 1 for row in u for x in row
-    )
+    return abs(d) == 1 and scaled([x for row in u for x in row])[1] == 1
 
 
 def _hnf_column(h, col) -> None:
@@ -194,12 +202,10 @@ def hnf(m) -> list[list[int]]:
 
 def primitive_direction(v) -> tuple[int, ...]:
     """Integer direction divided by gcd, first nonzero entry positive."""
-    fracs = [Fraction(x) for x in v]
-    if all(x == 0 for x in fracs):
-        raise LinAlgError("zero vector has no direction")
-    mult = lcm(*(x.denominator for x in fracs))
-    ints = [int(x * mult) for x in fracs]
+    ints, _ = scaled(v)
     g = gcd(*ints)
+    if g == 0:
+        raise LinAlgError("zero vector has no direction")
     ints = [x // g for x in ints]
     first = next(x for x in ints if x != 0)
     if first < 0:

@@ -1,31 +1,34 @@
-"""Lattice simplices and convex lattice polygons over exact rationals.
+"""Lattice simplices and convex lattice polygons in integer arithmetic.
 
 Provides volumes, H-representations, barycentric coordinates and exact
 enumeration of interior / relative-interior lattice points.  Every face
 query derives from the one integer H-representation ``hrep`` of the
 simplex, whose row j is the facet opposite vertex j: a face with vertex
 set I has the rows j in I strict and the rows j not in I tight.  The
-H-representation, the interior points and each face's relative-interior
-points are computed once per simplex and kept on the instance.  The
+determinant of the edge matrix, the H-representation, the interior points
+and each face's relative-interior points are computed once per simplex
+and kept on the instance.  A ``Fraction`` is built only for a value that
+is rational, such as a volume or a barycentric coordinate.  The
 enumeration is a recursive coordinate sweep driven by Fourier-Motzkin
 bounds, so it never scans full bounding boxes (those explode doubly
 exponentially for the simplices this library cares about).  The sweep
 runs on integer rows, as in the integer elimination step of Pugh's Omega
-test: each row is scaled once to integers, a strict row a.x < b becomes
-a.x <= b - 1, every row is divided by the gcd of its coefficients with
-the right-hand side floored, an equality is substituted rather than
-paired, and the bounds of each coordinate are floor divisions, so neither
-the elimination nor the sweep does ``Fraction`` arithmetic.
+test: each row is scaled once to integers by ``exact.scaled``, a strict
+row a.x < b becomes a.x <= b - 1, every row is divided by the gcd of its
+coefficients with the right-hand side floored, an equality is substituted
+rather than paired, and the bounds of each coordinate are floor
+divisions, so neither the elimination nor the sweep does ``Fraction``
+arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd
 from operator import mul
 
-from .exact import det
+from .exact import det, scaled
 
 
 class DegeneracyError(ValueError):
@@ -61,15 +64,6 @@ def check(ok: bool, message: str) -> None:
 # same normal merge into the tightest one.
 # ---------------------------------------------------------------------------
 
-def _scaled(a, b):
-    """The row (a, b) times the lcm of its denominators, as ints."""
-    q = [Fraction(c) for c in a]
-    q.append(Fraction(b))
-    m = lcm(*(c.denominator for c in q))
-    ints = [c.numerator * (m // c.denominator) for c in q]
-    return tuple(ints[:-1]), ints[-1]
-
-
 def _add_row(system, a, b):
     """Add a . x <= b to ``system``; False if it is a violated constant.
 
@@ -92,8 +86,9 @@ def _system(rows):
     """Integer system of the rational rows, or None if trivially infeasible."""
     system = {}
     for a, b, strict in rows:
-        a, b = _scaled(a, b)
-        if not _add_row(system, a, b - 1 if strict else b):
+        ints, _ = scaled([*a, b])
+        b = ints.pop()
+        if not _add_row(system, tuple(ints), b - 1 if strict else b):
             return None
     return system
 
@@ -224,7 +219,7 @@ class LatticeSimplex:
                 f"expected {d + 1} vertices of dimension {d}"
             )
         object.__setattr__(self, "vertices", verts)
-        if det(self.edge_matrix()) == 0:
+        if _edge_det(self) == 0:
             raise DegeneracyError("vertices are affinely dependent")
 
     @property
@@ -274,10 +269,10 @@ class HalfspaceSystem:
         return [(ai, bi, strict) for ai, bi in zip(self.a, self.b)]
 
     def contains(self, x, strict=False) -> bool:
-        x = [Fraction(c) for c in x]
+        x, m = scaled(x)
         for ai, bi in zip(self.a, self.b):
-            lhs = sum(c * xc for c, xc in zip(ai, x))
-            if lhs > bi or (strict and lhs == bi):
+            lhs = sum(map(mul, ai, x))
+            if lhs > bi * m or (strict and lhs == bi * m):
                 return False
         return True
 
@@ -310,12 +305,9 @@ class LatticePolygon:
 # ---------------------------------------------------------------------------
 
 def volume(s: LatticeSimplex) -> Fraction:
-    """|det(edge matrix)| / d!."""
-    d = s.dim
-    fact = 1
-    for i in range(2, d + 1):
-        fact *= i
-    return abs(det(s.edge_matrix())) / fact
+    """|det(edge matrix)| / d!, from the determinant computed when s was
+    built."""
+    return abs(_edge_det(s)) / factorial(s.dim)
 
 
 def barycentric(x, f: Face) -> list[Fraction]:
@@ -323,16 +315,18 @@ def barycentric(x, f: Face) -> list[Fraction]:
 
     Row j of ``hrep`` is the facet opposite vertex j, so the coordinate
     of vertex j is (b_j - a_j x) / (b_j - a_j v_j).  x lies in aff(f)
-    iff it is on every facet through f, which is checked exactly.
+    iff it is on every facet through f, which is checked exactly.  x is
+    scaled once to integers, so each coordinate is one ``Fraction``.
     """
     h = hrep(f.parent)
-    x = [Fraction(c) for c in x]
+    x, m = scaled(x)
     betas = []
     for j, (aj, bj) in enumerate(zip(h.a, h.b)):
-        slack = bj - sum(c * xc for c, xc in zip(aj, x))
+        slack = bj * m - sum(map(mul, aj, x))
         if j in f.vertex_indices:
             vj = f.parent.vertices[j]
-            betas.append(slack / (bj - sum(c * vc for c, vc in zip(aj, vj))))
+            scale = m * (bj - sum(map(mul, aj, vj)))
+            betas.append(Fraction(slack, scale))
         elif slack != 0:
             raise HullMembershipError("point is outside the affine hull")
     return betas
@@ -393,6 +387,11 @@ def _cached(s, key, compute, limit=None):
     return value
 
 
+def _edge_det(s: LatticeSimplex) -> Fraction:
+    """det of the edge matrix; computed once per simplex."""
+    return _cached(s, "det", lambda: det(s.edge_matrix()))
+
+
 def hrep(s: LatticeSimplex) -> HalfspaceSystem:
     """d+1 integer inequalities; x in s iff all hold, x in int(s) iff all
     strict.  Row j is the facet opposite vertex j.  Computed once per
@@ -441,7 +440,7 @@ def relint_points(f: Face, limit=None) -> list[tuple[int, ...]]:
 
 def collinear(points) -> bool:
     """True iff the difference set of the points has rank <= 1."""
-    pts = [[Fraction(c) for c in p] for p in points]
+    pts = list(points)
     if not pts:
         raise ValueError("need at least one point")
     diffs = [

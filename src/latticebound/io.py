@@ -9,7 +9,6 @@ record's label.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -205,6 +204,8 @@ def outlook_report(census) -> dict:
     # travel to the workers with their cached facts.
     workers = min(_worker_count(), len(census))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             details = list(pool.map(analyze_simplex, census))
     else:

@@ -1,10 +1,20 @@
 from fractions import Fraction
+from functools import reduce
+from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticebound import LinAlgError, det, hnf, primitive_direction, solve
+from latticebound import (
+    LinAlgError,
+    det,
+    exact,
+    hnf,
+    primitive_direction,
+    solve,
+)
 from latticebound.exact import (
     _hnf_column,
     identity,
@@ -12,6 +22,7 @@ from latticebound.exact import (
     mat_inverse,
     mat_mul,
     mat_vec,
+    scaled,
 )
 
 
@@ -39,6 +50,65 @@ class TestDet:
     def test_non_square(self):
         with pytest.raises(LinAlgError):
             det([[1, 2, 3], [4, 5, 6]])
+
+
+rational = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(rational, max_size=6))
+def test_scaled_is_v_times_the_lcm_of_its_denominators(v):
+    ints, m = scaled(v)
+    dens = [Fraction(x).denominator for x in v]
+    assert m == reduce(lambda a, b: a * b // gcd(a, b), dens, 1)
+    assert all(type(x) is int for x in ints) and type(m) is int
+    assert len(ints) == len(v)
+    assert all(ints[i] == v[i] * m for i in range(len(v)))
+
+
+def leibniz(m):
+    """det as the signed sum over permutations, independent of Bareiss."""
+    n = len(m)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(
+            perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
+        )
+        term = Fraction(-1) ** inversions
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+rational_matrix = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(rational, min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrix)
+def test_det_matches_leibniz_expansion(m):
+    assert det(m) == leibniz(m)
+
+
+def test_det_of_integer_matrix_builds_one_fraction(monkeypatch):
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    m = [[2, -1, 0, 3], [1, 4, 2, -2], [0, 5, -3, 1], [7, 0, 1, 1]]
+    monkeypatch.setattr(exact, "Fraction", Counting)
+    assert det(m) == leibniz(m)
+    assert len(built) == 1
 
 
 class TestSolve:

@@ -54,6 +54,15 @@ class TestVolume:
         with pytest.raises(DegeneracyError):
             LatticeSimplex([(0, 0), (1, 1), (2, 2)])
 
+    def test_reads_the_determinant_computed_at_construction(self, monkeypatch):
+        s = LatticeSimplex([(0, 0, 0), (2, 1, 0), (0, 3, 1), (1, 0, 5)])
+
+        def recomputed(m):
+            raise AssertionError("det was computed again")
+
+        monkeypatch.setattr(geometry, "det", recomputed)
+        assert volume(s) == F(31, 6)
+
 
 class TestBarycentric:
     def test_vertex_is_indicator(self):

@@ -154,7 +154,7 @@ class TestOutlookReport:
 
     def test_pool_not_larger_than_census(self, sample_census_path, monkeypatch):
         # fork starts max_workers processes at once: ask for one per record
-        from latticebound import io as lbio
+        import concurrent.futures
 
         census = ingest_census(sample_census_path, 2)[:3]
         serial = outlook_report(census)
@@ -173,7 +173,8 @@ class TestOutlookReport:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(lbio, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
         monkeypatch.setenv("LATTICEBOUND_THREADS", "64")
         assert outlook_report(census) == serial
         assert requested == [3]
