@@ -1,72 +1,57 @@
-"""Exact-arithmetic toolkit for lattice-simplex volume bounds."""
+"""Exact-arithmetic toolkit for lattice-simplex volume bounds.
 
-from .bounds import (
-    ApplicabilityError,
-    EqualityCertificate,
-    FacetBoundResult,
-    Lattice,
-    PikhurkoResult,
-    ProofTrace,
-    VdcResult,
-    best_facet_bound,
-    equality_certificate,
-    facet_bound,
-    general_pk_bound,
-    pikhurko,
-    proof_trace,
-    qualifying_facets,
-    tau,
-    vdc_check,
-)
-from .constructions import (
-    exceptional_p31,
-    inscribed_cube_scale,
-    lift,
-    sylvester,
-    t_simplex,
-    zpw_simplex,
-)
-from .exact import LinAlgError, det, hnf, primitive_direction, solve
-from .geometry import (
-    DegeneracyError,
-    EnumerationError,
-    Face,
-    HalfspaceSystem,
-    HullMembershipError,
-    LatticePolygon,
-    LatticeSimplex,
-    VerificationError,
-    barycentric,
-    collinear,
-    facets,
-    hrep,
-    interior_points,
-    polygon_counts,
-    relint_points,
-    volume,
-)
-from .io import (
-    DataIntegrityError,
-    ParseError,
-    SimplexRecord,
-    format_simplex,
-    ingest_census,
-    outlook_report,
-    parse_simplices,
-)
-from .survey import (
-    TriangleCensus,
-    enumerate_triangles,
-    filter_one_relint_facet,
-    verify_theorem_main_2d,
-)
-from .unimodular import (
-    AffineUnimodular,
-    CanonicalForm,
-    apply,
-    canonical_form,
-    equivalent,
-    random_unimodular,
-)
+Importing the package loads none of its modules: each exported name is
+imported from its module on first access (PEP 562), so a CLI command pays
+only for the modules it runs.
+"""
 
+from importlib import import_module
+
+_EXPORTS = {
+    "bounds": (
+        "ApplicabilityError", "EqualityCertificate", "FacetBoundResult",
+        "Lattice", "PikhurkoResult", "ProofTrace", "VdcResult",
+        "best_facet_bound", "equality_certificate", "facet_bound",
+        "general_pk_bound", "pikhurko", "proof_trace", "qualifying_facets",
+        "tau", "vdc_check",
+    ),
+    "constructions": (
+        "exceptional_p31", "inscribed_cube_scale", "lift", "sylvester",
+        "t_simplex", "zpw_simplex",
+    ),
+    "exact": ("LinAlgError", "det", "hnf", "primitive_direction", "solve"),
+    "geometry": (
+        "DegeneracyError", "EnumerationError", "Face", "HalfspaceSystem",
+        "HullMembershipError", "LatticePolygon", "LatticeSimplex",
+        "VerificationError", "barycentric", "collinear", "facets", "hrep",
+        "interior_points", "polygon_counts", "relint_points", "volume",
+    ),
+    "io": (
+        "DataIntegrityError", "ParseError", "SimplexRecord", "format_simplex",
+        "ingest_census", "outlook_report", "parse_simplices",
+    ),
+    "survey": (
+        "TriangleCensus", "enumerate_triangles", "filter_one_relint_facet",
+        "verify_theorem_main_2d",
+    ),
+    "unimodular": (
+        "AffineUnimodular", "CanonicalForm", "apply", "canonical_form",
+        "equivalent", "random_unimodular",
+    ),
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

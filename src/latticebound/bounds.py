@@ -10,16 +10,15 @@ witnesses why the facet bound holds instance by instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .constructions import sylvester
-from .exact import mat_vec, primitive_direction
+from .exact import det, mat_vec, primitive_direction
 from .geometry import (
     Face,
     LatticeSimplex,
     _cached,
+    _frozen,
     barycentric,
     check,
     collinear,
@@ -36,7 +35,7 @@ class ApplicabilityError(ValueError):
     """The hypotheses of the requested bound do not hold for this input."""
 
 
-@dataclass(frozen=True)
+@_frozen
 class Lattice:
     """Rank-d lattice generated by the columns of a rational basis matrix."""
 
@@ -45,8 +44,6 @@ class Lattice:
     def __post_init__(self):
         rows = tuple(tuple(Fraction(x) for x in row) for row in self.basis)
         object.__setattr__(self, "basis", rows)
-        from .exact import det
-
         d = det([list(r) for r in rows])
         if d == 0:
             raise ValueError("lattice basis is singular")
@@ -85,7 +82,7 @@ class Lattice:
         return _cached(self, ("box", betas), compute, limit)
 
 
-@dataclass(frozen=True)
+@_frozen
 class FacetBoundResult:
     facet: Face
     relint_point: tuple[int, ...]
@@ -94,19 +91,19 @@ class FacetBoundResult:
     tight: bool
 
 
-@dataclass(frozen=True)
+@_frozen
 class PointBound:
     betas_desc: tuple[Fraction, ...]
     bound: Fraction
 
 
-@dataclass(frozen=True)
+@_frozen
 class PikhurkoResult:
     per_point: dict
     nu: Fraction
 
 
-@dataclass(frozen=True)
+@_frozen
 class VdcResult:
     lhs: Fraction
     rhs: Fraction
@@ -116,7 +113,7 @@ class VdcResult:
     points: tuple
 
 
-@dataclass(frozen=True)
+@_frozen
 class ProofTrace:
     lattice: Lattice
     box: tuple[Fraction, ...]
@@ -125,7 +122,7 @@ class ProofTrace:
     h_zero_count: int
 
 
-@dataclass(frozen=True)
+@_frozen
 class EqualityCertificate:
     line_direction: tuple[int, ...]
     parallel_edge: tuple[int, int] | None
@@ -317,6 +314,8 @@ def equality_certificate(s: LatticeSimplex, f: Face) -> EqualityCertificate:
 
 def general_pk_bound(d: int, k: int) -> int:
     """The cited coarse upper volume bound (d(2d+1)(s_{2d+1}-1))^d k."""
+    from .constructions import sylvester
+
     if d < 1 or k < 1:
         raise ValueError("need d >= 1 and k >= 1")
     return (d * (2 * d + 1) * (sylvester(2 * d + 1) - 1)) ** d * k

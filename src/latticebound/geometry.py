@@ -23,10 +23,9 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
-from operator import mul
+from operator import attrgetter, mul
 
 from .exact import det, scaled
 
@@ -203,7 +202,55 @@ def integer_points(rows, nvars, limit=None):
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _frozen(cls):
+    """Make cls an immutable value class over its annotated fields.
+
+    Stands in for ``dataclasses.dataclass(frozen=True)``, whose import
+    (it pulls in ``inspect``) and per-class code generation every CLI
+    process would pay at start-up.  Fields are the annotations in order, a
+    class attribute is a field's default, and ``__post_init__`` (which sets
+    fields with ``object.__setattr__``) runs after construction; a class's
+    own ``__init__`` is kept.  Instances equal only same-class instances
+    with equal fields, hash and repr by their fields and refuse assignment.
+    Fields and cached facts live in ``__dict__``, which pickle copies.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+    fields = attrgetter(*names)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            values = {**defaults, **dict(zip(names, args)), **kwargs}
+            if (len(args) > len(names) or values.keys() != set(names)
+                    or kwargs.keys() & names[:len(args)]):
+                raise TypeError(f"{cls.__name__} takes the fields {names}")
+            args = map(values.get, names)
+        self.__dict__.update(zip(names, args))
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return fields(self) == fields(other)
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{cls.__qualname__}({body})"
+
+    def refuse(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    if "__init__" not in cls.__dict__:
+        cls.__init__ = __init__
+    cls.__eq__, cls.__repr__ = __eq__, __repr__
+    cls.__hash__ = lambda self: hash(fields(self))
+    cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
+
+
+@_frozen
 class LatticeSimplex:
     """d+1 affinely independent integer points in Z^d."""
 
@@ -235,7 +282,7 @@ class LatticeSimplex:
         ]
 
 
-@dataclass(frozen=True)
+@_frozen
 class Face:
     parent: LatticeSimplex
     vertex_indices: tuple[int, ...]
@@ -258,7 +305,7 @@ class Face:
         return len(self.vertex_indices) - 1
 
 
-@dataclass(frozen=True)
+@_frozen
 class HalfspaceSystem:
     """Exact H-representation {x : a x <= b}."""
 
@@ -277,7 +324,7 @@ class HalfspaceSystem:
         return True
 
 
-@dataclass(frozen=True)
+@_frozen
 class LatticePolygon:
     """Strictly convex lattice polygon, vertices counterclockwise."""
 

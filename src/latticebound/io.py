@@ -9,19 +9,10 @@ record's label.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .bounds import (
-    ApplicabilityError,
-    best_facet_bound,
-    pikhurko,
-    proof_trace,
-    vdc_check,
-)
-from .constructions import zpw_simplex
-from .geometry import DegeneracyError, LatticeSimplex, interior_points, volume
-from .unimodular import canonical_form
+from .geometry import DegeneracyError, LatticeSimplex, _frozen, interior_points, volume
 
 SCHEMA_VERSION = 1
 
@@ -37,7 +28,7 @@ class DataIntegrityError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@_frozen
 class SimplexRecord:
     dim: int
     vertices: tuple[tuple[int, ...], ...]
@@ -118,6 +109,8 @@ def ingest_census(path, expected_k: int) -> list[LatticeSimplex]:
     Every record must have exactly expected_k interior lattice points and
     no two records may be unimodularly equivalent.
     """
+    from .unimodular import canonical_form
+
     with open(path) as fh:
         records = parse_simplices(fh.read())
     simplices = []
@@ -146,9 +139,15 @@ def _rat(x) -> str:
     return str(Fraction(x))
 
 
-def analyze_simplex(s) -> dict:
+def analyze_simplex(s, threshold=None) -> dict:
     """Full per-simplex bound report (the unit of CLI/JSON output) of a
-    ``LatticeSimplex``, whose cached facts it reuses, or of its vertices."""
+    ``LatticeSimplex``, whose cached facts it reuses, or of its vertices.
+    Given a ``threshold``, it ends with ``nuExceedsThreshold``: nu exists
+    and exceeds it."""
+    from .bounds import (ApplicabilityError, best_facet_bound, pikhurko,
+                         proof_trace, vdc_check)
+    from .unimodular import canonical_form
+
     s = s if isinstance(s, LatticeSimplex) else LatticeSimplex(s)
     pts = interior_points(s)
     k = len(pts)
@@ -184,6 +183,8 @@ def analyze_simplex(s) -> dict:
         }
     except ApplicabilityError:
         detail["inSk1"] = False
+    if threshold is not None:
+        detail["nuExceedsThreshold"] = k >= 1 and pik.nu > threshold
     return detail
 
 
@@ -198,7 +199,12 @@ def _worker_count() -> int:
 def outlook_report(census) -> dict:
     """Count census members with a one-relint-point facet and those whose
     per-interior-point bound strictly exceeds vol(S_{3,2}) = 18."""
+    # Imported here, before the pool forks, so the workers inherit them.
+    from . import bounds, unimodular  # noqa: F401
+    from .constructions import zpw_simplex
+
     threshold = volume(zpw_simplex(3, 2))
+    analyze = partial(analyze_simplex, threshold=threshold)
     # Under fork the pool starts all max_workers processes at the first
     # submit, so ask for no more than there are records.  The simplices
     # travel to the workers with their cached facts.
@@ -207,14 +213,10 @@ def outlook_report(census) -> dict:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            details = list(pool.map(analyze_simplex, census))
+            details = list(pool.map(analyze, census))
     else:
-        details = [analyze_simplex(s) for s in census]
+        details = list(map(analyze, census))
     details.sort(key=lambda d: d["canonical"])
-    for d in details:
-        d["nuExceedsThreshold"] = (
-            "nu" in d and Fraction(d["nu"]) > threshold
-        )
     return {
         "schemaVersion": SCHEMA_VERSION,
         "total": len(details),

@@ -7,17 +7,16 @@ class with area at most the cap appears exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .bounds import qualifying_facets
 from .constructions import zpw_simplex
-from .geometry import LatticeSimplex, check, interior_points
+from .geometry import LatticeSimplex, _frozen, check, interior_points
 from .unimodular import canonical_form, equivalent
 
 
-@dataclass(frozen=True)
+@_frozen
 class TriangleCensus:
     k: int
     representatives: tuple[LatticeSimplex, ...]

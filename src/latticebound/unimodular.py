@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-
 from .exact import _hnf_column, det, hnf, identity, mat_vec
-from .geometry import LatticeSimplex, _cached
+from .geometry import LatticeSimplex, _cached, _frozen
 
 
-@dataclass(frozen=True)
+@_frozen
 class AffineUnimodular:
     """x -> u x + t with integer u, |det u| = 1, integer translation t."""
 
@@ -41,7 +38,7 @@ def apply(phi: AffineUnimodular, s: LatticeSimplex) -> LatticeSimplex:
     return LatticeSimplex([phi(v) for v in s.vertices])
 
 
-@dataclass(frozen=True)
+@_frozen
 class CanonicalForm:
     """Complete invariant under affine unimodular equivalence."""
 
@@ -118,6 +115,8 @@ def random_unimodular(d: int, seed: int, size: int = 4) -> AffineUnimodular:
     ``size`` bounds the number of shear steps and the shear magnitudes,
     keeping entries small enough for downstream exact enumeration.
     """
+    import random
+
     if d < 1:
         raise ValueError("need d >= 1")
     rng = random.Random(seed)

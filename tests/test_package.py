@@ -1,0 +1,284 @@
+"""The package surface: lazy exports, per-command imports, value classes."""
+
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+import latticebound
+from latticebound import (
+    AffineUnimodular,
+    CanonicalForm,
+    EqualityCertificate,
+    Face,
+    FacetBoundResult,
+    HalfspaceSystem,
+    Lattice,
+    LatticePolygon,
+    LatticeSimplex,
+    PikhurkoResult,
+    ProofTrace,
+    SimplexRecord,
+    TriangleCensus,
+    VdcResult,
+    enumerate_triangles,
+    equality_certificate,
+    facet_bound,
+    facets,
+    hrep,
+    pikhurko,
+    proof_trace,
+    vdc_check,
+    zpw_simplex,
+)
+from latticebound.bounds import PointBound
+
+SRC = str(Path(latticebound.__file__).resolve().parents[1])
+S32 = "3\n0 0 0\n2 0 0\n0 3 0\n0 0 18\n"
+T2 = "2\n0 0\n2 0\n0 3\n"
+
+
+# ---------------------------------------------------------------------------
+# Modules a fresh interpreter loads
+# ---------------------------------------------------------------------------
+
+PROBE = """
+import contextlib, io, sys
+before = set(sys.modules)
+if sys.argv[1:] == ["--package"]:
+    import latticebound
+    code = 0
+else:
+    from latticebound.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(sys.argv[1:])
+print(code, *sorted(set(sys.modules) - before))
+"""
+
+
+def new_modules(argv, stdin="", threads=None):
+    """Exit code and the modules that running argv imported, in a fresh
+    interpreter."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("LATTICEBOUND_")}
+    path = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = SRC + (os.pathsep + path if path else "")
+    if threads is not None:
+        env["LATTICEBOUND_THREADS"] = str(threads)
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], input=stdin,
+                          capture_output=True, text=True, env=env, check=True)
+    code, *modules = proc.stdout.split()
+    return int(code), set(modules)
+
+
+def test_importing_the_package_loads_no_submodule():
+    code, modules = new_modules(["--package"])
+    assert code == 0
+    assert "latticebound" in modules
+    assert not [m for m in modules if m.startswith("latticebound.")]
+
+
+def census():
+    return str(Path(SRC, "latticebound", "data", "sample_census.txt"))
+
+
+COMMANDS = {
+    "construct": (["construct", "zpw", "--dim", "3", "--k", "1"], ""),
+    "count-interior": (["count", "interior"], S32),
+    "count-relint": (["count", "relint", "--facet", "3"], S32),
+    "bound-facet": (["bound", "facet", "--json"], S32),
+    "bound-pikhurko": (["bound", "pikhurko"], S32),
+    "bound-tau": (["bound", "tau"], T2),
+    "bound-vdc": (["bound", "vdc", "--json"], S32),
+    "certify": (["certify", "equality", "--facet", "3"], S32),
+    "canon": (["canon"], S32),
+    "survey2d": (["survey2d", "--k", "1", "--filter", "--json"], ""),
+    "verify": (["verify", "main2d", "--k", "1", "--json"], ""),
+    "ingest": (["ingest", "--census", None, "--k", "2"], ""),
+    "report": (["report", "outlook", "--census", None, "--k", "2", "--json"], ""),
+}
+
+
+@pytest.mark.parametrize(
+    "name, threads", [(n, None) for n in sorted(COMMANDS)] + [("report", 2)]
+)
+def test_commands_import_only_what_they_run(name, threads):
+    argv, stdin = COMMANDS[name]
+    argv = [census() if a is None else a for a in argv]
+    code, modules = new_modules(argv, stdin, threads)
+    assert code == 0
+    assert not modules & {"dataclasses", "inspect"}
+    if not (name == "report" and threads == 2):
+        assert "concurrent.futures" not in modules
+    if name in ("count-interior", "canon"):
+        assert not modules & {"latticebound.bounds", "latticebound.survey"}
+
+
+# ---------------------------------------------------------------------------
+# The lazy namespace
+# ---------------------------------------------------------------------------
+
+def test_every_export_is_its_module_attribute():
+    for name in latticebound.__all__:
+        value = getattr(latticebound, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("latticebound.")
+        assert getattr(home, name) is value
+
+
+def test_dir_lists_every_export():
+    assert set(latticebound.__all__) <= set(dir(latticebound))
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from latticebound import *", namespace)
+    assert len(latticebound.__all__) == len(set(latticebound.__all__)) == 60
+    assert set(latticebound.__all__) <= set(namespace)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        latticebound.no_such_name
+    assert not hasattr(latticebound, "dataclass")
+
+
+# ---------------------------------------------------------------------------
+# Value classes: each kind built twice from scratch, with its field names
+# ---------------------------------------------------------------------------
+
+def s32():
+    return zpw_simplex(3, 2)
+
+
+def bottom(s):
+    return Face(s, (0, 1, 2))
+
+
+def census_k0():
+    return enumerate_triangles(0, 2)
+
+
+VALUES = {
+    LatticeSimplex: (s32, ("vertices",)),
+    Face: (lambda: bottom(s32()), ("parent", "vertex_indices")),
+    HalfspaceSystem: (lambda: hrep(s32()), ("a", "b")),
+    LatticePolygon: (lambda: LatticePolygon([(0, 0), (3, 0), (0, 3)]),
+                     ("vertices",)),
+    AffineUnimodular: (lambda: AffineUnimodular(((1, 2), (0, 1)), (3, -1)),
+                       ("u", "t")),
+    CanonicalForm: (lambda: CanonicalForm(((1, 0), (0, 2))), ("matrix",)),
+    Lattice: (lambda: Lattice(((F(1, 2), 0), (0, 1))), ("basis",)),
+    FacetBoundResult: (lambda: facet_bound(s32(), bottom(s32())),
+                       ("facet", "relint_point", "betas", "bound", "tight")),
+    PointBound: (lambda: next(iter(pikhurko(s32()).per_point.values())),
+                 ("betas_desc", "bound")),
+    PikhurkoResult: (lambda: pikhurko(s32()), ("per_point", "nu")),
+    VdcResult: (lambda: vdc_check(Lattice(((1, 0), (0, 1))), [F(3, 2), 1]),
+                ("lhs", "rhs", "holds", "tight", "interior_count", "points")),
+    ProofTrace: (lambda: proof_trace(s32(), bottom(s32())),
+                 ("lattice", "box", "y_set", "h_minus_count", "h_zero_count")),
+    EqualityCertificate: (
+        lambda: equality_certificate(s32(), bottom(s32())),
+        ("line_direction", "parallel_edge", "collinear_ok", "edge_ok"),
+    ),
+    SimplexRecord: (lambda: SimplexRecord(2, ((0, 0), (1, 0), (0, 1)), "u"),
+                    ("dim", "vertices", "label")),
+    TriangleCensus: (census_k0, ("k", "representatives", "max_area",
+                                 "maximizers", "search_cap")),
+}
+KINDS = pytest.mark.parametrize("cls", list(VALUES), ids=lambda c: c.__name__)
+
+
+def fields(value, names):
+    return [getattr(value, n) for n in names]
+
+
+@KINDS
+def test_equal_within_the_class_only(cls):
+    make, names = VALUES[cls]
+    a, b = make(), make()
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b
+    sub = type("Sub", (cls,), {})(*fields(a, names))
+    assert a != sub and sub != a
+    assert a != tuple(fields(a, names))
+    if cls is not PikhurkoResult:  # per_point is a dict
+        assert hash(a) == hash(b)
+
+
+@KINDS
+def test_positional_and_keyword_construction_agree(cls):
+    make, names = VALUES[cls]
+    a = make()
+    values = fields(a, names)
+    assert cls(*values) == a
+    assert cls(**dict(zip(names, values))) == a
+
+
+@KINDS
+def test_fields_cannot_be_assigned(cls):
+    make, names = VALUES[cls]
+    a = make()
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+
+
+@KINDS
+def test_repr_names_the_fields(cls):
+    make, names = VALUES[cls]
+    text = repr(make())
+    assert text.startswith(f"{cls.__name__}(")
+    for name in names:
+        assert f"{name}=" in text
+
+
+@KINDS
+def test_pickle_round_trip(cls):
+    a = VALUES[cls][0]()
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_missing_or_unknown_fields_rejected():
+    with pytest.raises(TypeError):
+        CanonicalForm()
+    with pytest.raises(TypeError):
+        CanonicalForm(((1,),), ((1,),))
+    with pytest.raises(TypeError):
+        CanonicalForm(((1,),), matrix=((1,),))
+    with pytest.raises(TypeError):
+        CanonicalForm(grid=((1,),))
+
+
+def test_simplex_record_label_defaults_to_none():
+    rec = SimplexRecord(2, ((0, 0), (1, 0), (0, 1)))
+    assert rec.label is None
+    assert rec == SimplexRecord(dim=2, vertices=((0, 0), (1, 0), (0, 1)))
+
+
+def test_post_init_still_validates():
+    s = s32()
+    for bad in [(), (1, 0), (0, 0), (4,)]:
+        with pytest.raises(ValueError):
+            Face(s, bad)
+    assert Face(s, [0, 2]).vertex_indices == (0, 2)
+    with pytest.raises(ValueError):
+        LatticePolygon([(0, 0), (0, 3), (3, 0)])
+    with pytest.raises(ValueError):
+        LatticePolygon([(0, 0), (1, 0)])
+    with pytest.raises(ValueError):
+        AffineUnimodular(((2, 0), (0, 1)), (0, 0))
+    with pytest.raises(ValueError):
+        AffineUnimodular(((1, 0), (0, 1)), (0,))
+    with pytest.raises(ValueError):
+        Lattice(((1, 2), (2, 4)))
+    assert facets(s)[0] == Face(s, (1, 2, 3))
