@@ -189,12 +189,12 @@ def hnf(m) -> list[list[int]]:
     """
     if not m or any(len(row) != len(m[0]) for row in m):
         raise LinAlgError("matrix is empty or ragged")
-    if any(int(x) != x for row in m for x in row):
+    h = [list(map(int, row)) for row in m]
+    if h != [[*row] for row in m]:
         raise LinAlgError("hnf requires integer entries")
     cols = len(m[0])
     if cols > len(m):
         raise LinAlgError("matrix cannot have full column rank")
-    h = [[int(x) for x in row] for row in m]
     for col in range(cols):
         _hnf_column(h, col)
     return h

@@ -12,7 +12,8 @@ import os
 from fractions import Fraction
 from functools import partial
 
-from .geometry import DegeneracyError, LatticeSimplex, _frozen, interior_points, volume
+from .geometry import (DegeneracyError, LatticeSimplex, _cached, _frozen,
+                       interior_points, volume)
 
 SCHEMA_VERSION = 1
 
@@ -35,7 +36,8 @@ class SimplexRecord:
     label: str | None = None
 
     def to_simplex(self) -> LatticeSimplex:
-        return LatticeSimplex(self.vertices)
+        """The record's simplex, built once (by ``parse_simplices``)."""
+        return _cached(self, "simplex", lambda: LatticeSimplex(self.vertices))
 
 
 def parse_simplices(text: str) -> list[SimplexRecord]:
@@ -84,11 +86,11 @@ def parse_simplices(text: str) -> list[SimplexRecord]:
                 f"got {len(verts)}",
                 dim_line,
             )
+        records.append(SimplexRecord(dim, tuple(verts), label))
         try:
-            LatticeSimplex(verts)
+            records[-1].to_simplex()
         except DegeneracyError as exc:
             raise ParseError(str(exc), dim_line)
-        records.append(SimplexRecord(dim, tuple(verts), label))
     return records
 
 

@@ -63,19 +63,32 @@ def _reduced(h, col, j):
     return h
 
 
+def _finish(h, col, a, b):
+    """hnf of h with a, b as its last two columns, when its first col = d-2
+    columns are in Hermite form: rows col.. are zero in them, so it is the
+    trailing 2×2 block's hnf, each row above reduced by the block's pivots."""
+    (p, x), (_, q) = hnf([[a[col], b[col]], [a[col + 1], b[col + 1]]])
+    rows = [r[:col] + [u % p, (v - u // p * x) % q]
+            for r, u, v in zip(h[:col], a, b)]
+    return rows + [[0] * col + [p, x], [0] * col + [0, q]]
+
+
 def _least_hnf(h, col):
     """Least hnf over the orders of the columns col.. of the square h,
     whose columns before col are in Hermite form.
 
     Each column put at position col is reduced once for every order that
-    continues from it.  The last two columns are not shared: hnf runs
-    once per order.
+    continues from it.  The last two columns are not shared: ``hnf`` runs
+    once per ordering, on the trailing 2×2 block (all of h at d = 2).
     """
     left = len(h) - col
     if left == 1:
         return hnf(h)
-    if left == 2:
-        return min(hnf(h), hnf(_moved(h, col, col + 1)))
+    if left == 2 and col:
+        a, b = [r[col] for r in h], [r[col + 1] for r in h]
+        return min(_finish(h, col, a, b), _finish(h, col, b, a))
+    if left == 2:  # d = 2: the block is h, and a finish would only copy
+        return min(hnf(h), hnf(_moved(h, 0, 1)))
     return min(_least_hnf(_reduced(h, col, j), col + 1)
                for j in range(col, len(h)))
 
@@ -88,8 +101,8 @@ def canonical_form(s: LatticeSimplex) -> CanonicalForm:
     over all (d+1)! orderings quotients vertex relabelling.  Orderings
     that share a prefix of edges share its elimination: since the HNF of
     u m is the HNF of m for unimodular u, a depth-first walk reduces each
-    prefix's columns once and calls ``hnf`` once per ordering on the
-    prefix-reduced matrix.  Computed once per simplex.
+    prefix's columns once, and ``hnf`` runs once per ordering, on the
+    trailing 2×2 block.  Computed once per simplex.
     """
     d, verts = s.dim, s.vertices
     # Row lists of one shape compare like their flattened entries.

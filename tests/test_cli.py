@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import latticebound
-from latticebound import format_simplex, zpw_simplex
-from latticebound.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
+from latticebound import LatticeSimplex, format_simplex, zpw_simplex
+from latticebound.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION,
+                              _read_simplices, main)
 
 S21 = "2\n0 0\n2 0\n0 4\n"
 S32 = "3\n0 0 0\n2 0 0\n0 3 0\n0 0 18\n"
@@ -66,6 +67,21 @@ class TestCount:
         code, _, err = run(["count", "interior"], stdin="",
                            capsys=capsys, monkeypatch=monkeypatch)
         assert code == EXIT_USAGE and "error" in err
+
+    def test_each_record_builds_its_simplex_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "three.txt"
+        path.write_text("\n".join([S21, S32, UNIT]))
+        calls = []
+        init = LatticeSimplex.__init__
+
+        def counting(self, vertices):
+            calls.append(1)
+            init(self, vertices)
+
+        monkeypatch.setattr(LatticeSimplex, "__init__", counting)
+        simplices = _read_simplices(str(path))
+        assert [s.dim for s in simplices] == [2, 3, 2]
+        assert len(calls) == 3
 
 
 class TestBound:

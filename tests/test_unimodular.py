@@ -23,7 +23,7 @@ from latticebound import (
     zpw_simplex,
 )
 from latticebound import unimodular
-from latticebound.exact import det, hnf
+from latticebound.exact import _hnf_column, det, hnf
 
 
 def _oracle_hnf(m):
@@ -74,6 +74,13 @@ def _generic_simplex(d, seed):
         except DegeneracyError:
             continue
 
+
+square_matrix = st.integers(2, 6).flatmap(
+    lambda d: st.lists(
+        st.lists(st.integers(-9, 9), min_size=d, max_size=d),
+        min_size=d, max_size=d,
+    )
+)
 
 small_simplex = st.integers(1, 4).flatmap(
     lambda d: st.lists(
@@ -188,6 +195,32 @@ class TestSharedPrefixForm:
         monkeypatch.setattr(unimodular, "hnf", counting)
         canonical_form(_generic_simplex(d, d))
         assert len(calls) == factorial(d + 1)
+
+    def test_hnf_runs_on_the_trailing_block(self, monkeypatch):
+        shapes = set()
+
+        def recording(m):
+            shapes.add((len(m), len(m[0])))
+            return hnf(m)
+
+        monkeypatch.setattr(unimodular, "hnf", recording)
+        canonical_form(_generic_simplex(6, 0))
+        assert shapes == {(2, 2)}
+
+    @settings(max_examples=80, deadline=None)
+    @given(square_matrix)
+    def test_leaf_finish_matches_oracle(self, m):
+        # the 2x2 finish of a prefix-reduced matrix is the hnf of the
+        # original with its last two columns in either order
+        assume(det(m) != 0)
+        col = len(m) - 2
+        h = [list(row) for row in m]
+        for c in range(col):
+            _hnf_column(h, c)
+        a, b = [r[col] for r in h], [r[col + 1] for r in h]
+        swapped = [r[:col] + [r[col + 1], r[col]] for r in m]
+        assert unimodular._finish(h, col, a, b) == _oracle_hnf(m)
+        assert unimodular._finish(h, col, b, a) == _oracle_hnf(swapped)
 
     def test_memory_stays_flat(self):
         # a running minimum, not a list of all 5040 forms
