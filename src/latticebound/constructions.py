@@ -5,7 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .geometry import Face, LatticeSimplex, barycentric, check, volume
+from .geometry import (Face, LatticeSimplex, barycentric, check,
+                       interior_points, volume)
 
 
 def sylvester(i: int) -> int:
@@ -63,22 +64,24 @@ def exceptional_p31() -> LatticeSimplex:
 
 
 def lift(t: LatticeSimplex, k: int) -> LatticeSimplex:
-    """conv(t x {0} union {(k+1) e_d}) for a base simplex with o interior.
+    """conv(t x {0} union {(k+1) e_d}) for a base simplex whose only
+    interior lattice point is the origin.
 
-    For any (d-1)-simplex t with exactly one interior lattice point at the
-    origin, the result has k interior lattice points (all on the last
-    axis) and the base facet t x {0} has the origin as its unique
-    relative-interior lattice point.
+    For such a (d-1)-simplex t, the result has k interior lattice points
+    (all on the last axis) and the base facet t x {0} has the origin as
+    its unique relative-interior lattice point.  Any other base raises
+    ``ValueError``.
     """
     if k < 0:
         raise ValueError("need k >= 0")
-    base_dim = t.dim
-    full = Face(t, tuple(range(base_dim + 1)))
-    betas = barycentric([0] * base_dim, full)
-    if any(b <= 0 for b in betas):
+    origin = (0,) * t.dim
+    if any(b <= 0 for b in barycentric(origin, Face(t, range(t.dim + 1)))):
         raise ValueError("origin is not interior to the base simplex")
+    if len(interior_points(t, limit=1)) > 1:
+        raise ValueError(
+            "origin is not the only interior point of the base simplex")
     verts = [v + (0,) for v in t.vertices]
-    verts.append(tuple(0 for _ in range(base_dim)) + (k + 1,))
+    verts.append(origin + (k + 1,))
     return LatticeSimplex(verts)
 
 

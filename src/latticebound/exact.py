@@ -3,15 +3,17 @@
 Everything in here works over arbitrary-precision integers: rational
 input (``int`` or ``fractions.Fraction`` entries) is scaled once to
 integers by ``scaled``, and a ``Fraction`` is built only for a result
-that is rational.  There is deliberately no floating point anywhere (a
-float entry raises); every downstream check is an exact equality or
-exact inequality.
+that is rational.  ``hnf`` takes ``int`` entries only and is built on
+the extended gcd ``_xgcd``.  There is deliberately no floating point
+anywhere (a float entry raises); every downstream check is an exact
+equality or exact inequality.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 
 class LinAlgError(ValueError):
@@ -139,43 +141,55 @@ def is_unimodular(u) -> bool:
     return abs(d) == 1 and scaled([x for row in u for x in row])[1] == 1
 
 
+def _xgcd(a, b) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s a + t b, so g >= 0."""
+    s, s1, x, y = 1, 0, a, b
+    while y:
+        q = x // y
+        x, y, s, s1 = y, x - q * y, s1, s - q * s1
+    if x < 0:
+        x, s = -x, -s
+    return x, s, (x - s * a) // b if b else 0
+
+
 def _hnf_column(h, col) -> None:
     """Bring column ``col`` of the integer rows h into Hermite form.
 
     Columns before ``col`` must already be in Hermite form in rows
-    0..col-1.  Euclid's reduction among rows col.. leaves one nonzero
-    entry below the diagonal, which is moved to row ``col`` and made
-    positive; the entries above it are then reduced into [0, pivot).
+    0..col-1.  The first row from ``col`` down that is nonzero in the
+    column becomes the pivot row, and each later nonzero row is combined
+    with it once: the extended gcd g = s a + t c of their entries a, c
+    gives the unimodular step (P, R) -> (s P + t R, (a/g) R - (c/g) P),
+    which leaves g in the pivot row and 0 in the other (R - (c/a) P
+    when a divides c).  The pivot is made positive and the entries above
+    it reduced into [0, pivot).
     Rows are replaced, never changed in place, so a shallow copy of h
     may share its rows with h.
     """
-    rows = len(h)
-    while True:
-        nz = [i for i in range(col, rows) if h[i][col]]
-        if len(nz) < 2:
+    for i in range(col, len(h)):
+        if h[i][col]:
             break
-        # Reduce every other row by the smallest entry of the column.
-        small = nz[0]
-        for i in nz:
-            if abs(h[i][col]) < abs(h[small][col]):
-                small = i
-        pivot = h[small]
-        p = pivot[col]
-        for i in nz:
-            if i != small:
-                q = h[i][col] // p
-                h[i] = [a - q * b for a, b in zip(h[i], pivot)]
-    if not nz:
+    else:
         raise LinAlgError("matrix is rank deficient")
-    i = nz[0]
-    h[col], h[i] = h[i], h[col]
-    if h[col][col] < 0:
-        h[col] = [-x for x in h[col]]
-    p = h[col][col]
+    pivot, h[i] = h[i], h[col]
+    for j in range(i + 1, len(h)):
+        a, c = pivot[col], h[j][col]
+        if c % a:
+            g, s, t = _xgcd(a, c)
+            a, c = a // g, c // g
+            pivot, h[j] = ([s * x + t * y for x, y in zip(pivot, h[j])],
+                           [a * y - c * x for x, y in zip(pivot, h[j])])
+        elif c:
+            q = c // a
+            h[j] = [y - q * x for x, y in zip(pivot, h[j])]
+    if pivot[col] < 0:
+        pivot = [-x for x in pivot]
+    h[col] = pivot
+    p = pivot[col]
     for i in range(col):
         q = h[i][col] // p
         if q:
-            h[i] = [a - q * b for a, b in zip(h[i], h[col])]
+            h[i] = [a - q * b for a, b in zip(h[i], pivot)]
 
 
 def hnf(m) -> list[list[int]]:
@@ -184,17 +198,30 @@ def hnf(m) -> list[list[int]]:
     Returns h = u m for some unimodular u, with h upper triangular with
     positive diagonal and every entry above a pivot reduced into
     [0, pivot).  This normalization makes h the unique representative of
-    the left coset of m, which is what canonical forms rely on.  The
-    argument is not changed.
+    the left coset of m, which is what canonical forms rely on.  Entries
+    must be ``int``s (a float or ``Fraction`` raises).  A 2×2 matrix
+    [[a, b], [c, d]] has the closed form [[g, (s b + t d) mod q], [0, q]],
+    with g = gcd(a, c) = s a + t c and q = |ad - bc|/g; any other shape is
+    reduced one column at a time by ``_hnf_column``.  The argument is not
+    changed.
     """
-    if not m or any(len(row) != len(m[0]) for row in m):
+    if len(set(map(len, m))) != 1:
         raise LinAlgError("matrix is empty or ragged")
-    h = [list(map(int, row)) for row in m]
-    if h != [[*row] for row in m]:
-        raise LinAlgError("hnf requires integer entries")
-    cols = len(m[0])
-    if cols > len(m):
+    try:
+        h = [list(map(index, row)) for row in m]
+    except TypeError:
+        raise LinAlgError("hnf requires integer entries") from None
+    n, cols = len(h), len(h[0])
+    if cols > n:
         raise LinAlgError("matrix cannot have full column rank")
+    if n == cols == 2:
+        (a, b), (c, d) = h
+        block_det = a * d - b * c
+        if not block_det:
+            raise LinAlgError("matrix is rank deficient")
+        g, s, t = _xgcd(a, c)
+        q = abs(block_det) // g
+        return [[g, (s * b + t * d) % q], [0, q]]
     for col in range(cols):
         _hnf_column(h, col)
     return h

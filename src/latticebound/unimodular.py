@@ -78,17 +78,16 @@ def _least_hnf(h, col):
     whose columns before col are in Hermite form.
 
     Each column put at position col is reduced once for every order that
-    continues from it.  The last two columns are not shared: ``hnf`` runs
-    once per ordering, on the trailing 2×2 block (all of h at d = 2).
+    continues from it.  The last two columns are not shared: both of their
+    orders end in ``_finish``, which runs ``hnf`` once on the trailing 2×2
+    block (all of h at d = 2).
     """
     left = len(h) - col
     if left == 1:
         return hnf(h)
-    if left == 2 and col:
+    if left == 2:
         a, b = [r[col] for r in h], [r[col + 1] for r in h]
         return min(_finish(h, col, a, b), _finish(h, col, b, a))
-    if left == 2:  # d = 2: the block is h, and a finish would only copy
-        return min(hnf(h), hnf(_moved(h, 0, 1)))
     return min(_least_hnf(_reduced(h, col, j), col + 1)
                for j in range(col, len(h)))
 

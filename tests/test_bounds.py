@@ -49,7 +49,8 @@ class TestFacetBound:
         assert r.bound == 18 and r.tight
 
     def test_lift_with_two_relint_points_inapplicable(self):
-        s = lift(LatticeSimplex([(-1,), (2,)]), 1)
+        # the segment base has two interior points, so lift() refuses it
+        s = LatticeSimplex([(-1, 0), (2, 0), (0, 2)])
         with pytest.raises(ApplicabilityError):
             facet_bound(s, bottom_facet(s))
 

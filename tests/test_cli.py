@@ -51,6 +51,15 @@ class TestConstruct:
         )
         assert code == EXIT_VERIFICATION and "error" in err
 
+    def test_lift_base_with_more_interior_points(self, capsys, monkeypatch):
+        code, out, err = run(
+            ["construct", "lift", "--k", "1"],
+            stdin="2\n-1 -1\n5 -1\n-1 5\n", capsys=capsys,
+            monkeypatch=monkeypatch,
+        )
+        assert code == EXIT_VERIFICATION and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestCount:
     def test_interior(self, capsys, monkeypatch):

@@ -118,10 +118,10 @@ class TestExceptional:
 
 class TestLift:
     def test_segment_base(self):
-        t = LatticeSimplex([(-1,), (2,)])
-        s = lift(t, 1)
-        assert s.vertices == ((-1, 0), (2, 0), (0, 2))
-        assert len(interior_points(s)) == 1
+        t = LatticeSimplex([(-1,), (1,)])
+        s = lift(t, 2)
+        assert s.vertices == ((-1, 0), (1, 0), (0, 3))
+        assert len(interior_points(s)) == 2
 
     def test_t2_base_gives_s32_member(self):
         t2 = t_simplex(2)
@@ -143,8 +143,16 @@ class TestLift:
 
     def test_origin_not_interior(self):
         t = LatticeSimplex([(1,), (3,)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not interior"):
             lift(t, 1)
+
+    @pytest.mark.parametrize("verts", [[(-1,), (2,)],
+                                       [(-1, -1), (5, -1), (-1, 5)]])
+    def test_base_with_more_interior_points(self, verts):
+        # the lift would have more than k interior points and a base
+        # facet with more than one relint point
+        with pytest.raises(ValueError, match="only interior point"):
+            lift(LatticeSimplex(verts), 1)
 
 
 class TestInscribedCubeScale:

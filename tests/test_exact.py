@@ -4,9 +4,10 @@ from itertools import permutations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hnf_oracle
 from latticebound import (
     LinAlgError,
     det,
@@ -17,6 +18,7 @@ from latticebound import (
 )
 from latticebound.exact import (
     _hnf_column,
+    _xgcd,
     identity,
     is_unimodular,
     mat_inverse,
@@ -165,8 +167,9 @@ class TestHnf:
             [[1, Fraction(1, 2)], [0, 1]],
             [[1, 0, 0], [0, 1, 0]],
             [[0, 0], [0, 0], [0, 0]],
+            [[2.0, 0], [0, 1]],
         ],
-        ids=["empty", "ragged", "non-integer", "wide", "zero-tall"],
+        ids=["empty", "ragged", "non-integer", "wide", "zero-tall", "float"],
     )
     def test_invalid_input_raises(self, m):
         with pytest.raises(LinAlgError):
@@ -268,3 +271,57 @@ def test_primitive_direction():
     assert primitive_direction([Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
     with pytest.raises(LinAlgError):
         primitive_direction([0, 0])
+
+
+# Sparse entries: many zeros, so pivots are often not in the first row,
+# next to small and very large ones.
+sparse_entry = st.one_of(
+    st.just(0), st.integers(-3, 3), st.integers(-10**12, 10**12)
+)
+
+
+def _matrix(rows, cols):
+    return st.lists(st.lists(sparse_entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+square = st.integers(1, 6).flatmap(lambda n: _matrix(n, n))
+tall = st.tuples(st.integers(1, 4), st.integers(1, 3)).flatmap(
+    lambda s: _matrix(s[0] + s[1], s[0])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(square, tall))
+def test_hnf_matches_oracle(m):
+    expected = hnf_oracle.hnf(m)
+    if expected is None:
+        with pytest.raises(LinAlgError):
+            hnf(m)
+    else:
+        assert hnf(m) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: _matrix(n, n)), st.data())
+def test_hnf_singular_raises(m, data):
+    # the last row an integer combination of the others
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(m) - 1,
+                                max_size=len(m) - 1))
+    m[-1] = [sum(c * r[j] for c, r in zip(coeffs, m)) for j in range(len(m))]
+    with pytest.raises(LinAlgError):
+        hnf(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-30, 30), st.integers(-10**12, 10**12)),
+       st.one_of(st.integers(-30, 30), st.integers(-10**12, 10**12)))
+@example(0, 0)
+@example(0, -5)
+@example(-5, 0)
+@example(-4, -6)
+@example(6, -4)
+@example(-1, 1)
+def test_xgcd(a, b):
+    g, s, t = _xgcd(a, b)
+    assert g == s * a + t * b == gcd(a, b) >= 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hnf_oracle
 from latticebound import (
     AffineUnimodular,
     DegeneracyError,
@@ -26,35 +27,12 @@ from latticebound import unimodular
 from latticebound.exact import _hnf_column, det, hnf
 
 
-def _oracle_hnf(m):
-    """Hermite normal form of a nonsingular square integer matrix, one
-    column at a time without the library's column step."""
-    h = [list(row) for row in m]
-    n = len(h)
-    for col in range(n):
-        while True:
-            nz = [i for i in range(col, n) if h[i][col] != 0]
-            if len(nz) == 1:
-                break
-            nz.sort(key=lambda i: abs(h[i][col]))
-            small, other = nz[0], nz[1]
-            q = h[other][col] // h[small][col]
-            h[other] = [a - q * b for a, b in zip(h[other], h[small])]
-        h[col], h[nz[0]] = h[nz[0]], h[col]
-        if h[col][col] < 0:
-            h[col] = [-x for x in h[col]]
-        for i in range(col):
-            q = h[i][col] // h[col][col]
-            h[i] = [a - q * b for a, b in zip(h[i], h[col])]
-    return h
-
-
 def _exhaustive_form(s):
     """The least HNF of the edge matrix over every (base, ordering) pair,
     each computed from scratch: the oracle for canonical_form."""
     d, verts = s.dim, s.vertices
     return min(
-        _oracle_hnf([[w[i] - v[i] for w in perm] for i in range(d)])
+        hnf_oracle.hnf([[w[i] - v[i] for w in perm] for i in range(d)])
         for b, v in enumerate(verts)
         for perm in permutations(verts[:b] + verts[b + 1:])
     )
@@ -219,8 +197,8 @@ class TestSharedPrefixForm:
             _hnf_column(h, c)
         a, b = [r[col] for r in h], [r[col + 1] for r in h]
         swapped = [r[:col] + [r[col + 1], r[col]] for r in m]
-        assert unimodular._finish(h, col, a, b) == _oracle_hnf(m)
-        assert unimodular._finish(h, col, b, a) == _oracle_hnf(swapped)
+        assert unimodular._finish(h, col, a, b) == hnf_oracle.hnf(m)
+        assert unimodular._finish(h, col, b, a) == hnf_oracle.hnf(swapped)
 
     def test_memory_stays_flat(self):
         # a running minimum, not a list of all 5040 forms
