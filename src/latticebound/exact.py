@@ -32,9 +32,12 @@ def scaled(v) -> tuple[list[int], int]:
     is v times m.
 
     Reads ``numerator`` and ``denominator``, which ``int`` and
-    ``Fraction`` both have, so it builds no ``Fraction``.
+    ``Fraction`` both have, so it builds no ``Fraction`` (a float raises).
     """
-    m = lcm(*(x.denominator for x in v))
+    try:
+        m = lcm(*(x.denominator for x in v))
+    except AttributeError:
+        raise LinAlgError("entries must be int or Fraction") from None
     return [x.numerator * (m // x.denominator) for x in v], m
 
 

@@ -1,4 +1,5 @@
-"""Simplex text format, census ingestion, and the outlook report.
+"""Simplex text format, census ingestion, and the outlook report, whose
+per-record analyses ``fork_map`` splits over forked worker processes.
 
 Text format: one record is a dimension line ``d`` followed by d+1 lines
 of d space-separated integers; records are separated by blank lines and
@@ -190,34 +191,70 @@ def analyze_simplex(s, threshold=None) -> dict:
     return detail
 
 
-def _worker_count() -> int:
+def _worker_count(n) -> int:
     raw = os.environ.get("LATTICEBOUND_THREADS", "")
     try:
-        return max(1, int(raw))
+        return max(1, min(int(raw), n, os.cpu_count() or 1))
     except ValueError:
         return 1
+
+
+def fork_map(fn, items) -> list:
+    """``list(map(fn, items))`` over w = ``_worker_count`` processes: the
+    parent maps items[0::w] and forks a child per share items[i::w], which
+    pickles its results, or its exception, down a pipe.  Every child is
+    reaped (killed first if the map fails); one that dies without a
+    result raises ``ChildProcessError``.  Serial without ``os.fork``."""
+    w = _worker_count(len(items))
+    if w == 1 or not hasattr(os, "fork"):
+        return list(map(fn, items))
+    import pickle
+
+    children, shares = [], []
+    try:
+        for i in range(1, w):
+            fh, out = map(open, os.pipe(), ("rb", "wb"))
+            if not (pid := os.fork()):
+                try:
+                    try:
+                        share = [fn(x) for x in items[i::w]]
+                    except Exception as exc:
+                        share = exc
+                    with out:
+                        pickle.dump(share, out)
+                finally:
+                    os._exit(0)
+            out.close()
+            children.append((pid, fh))
+        shares.append([fn(x) for x in items[::w]])
+        for pid, fh in children:
+            try:
+                shares.append(pickle.load(fh))
+            except Exception:
+                raise ChildProcessError(
+                    f"worker process {pid} ended without a result") from None
+            if isinstance(shares[-1], Exception):
+                raise shares[-1]
+    finally:
+        for pid, fh in children:
+            fh.close()
+            if len(shares) < w:
+                from signal import SIGKILL
+
+                os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+    return [shares[j % w][j // w] for j in range(len(items))]
 
 
 def outlook_report(census) -> dict:
     """Count census members with a one-relint-point facet and those whose
     per-interior-point bound strictly exceeds vol(S_{3,2}) = 18."""
-    # Imported here, before the pool forks, so the workers inherit them.
+    # Imported here, before fork_map forks, so the workers inherit them.
     from . import bounds, unimodular  # noqa: F401
     from .constructions import zpw_simplex
 
     threshold = volume(zpw_simplex(3, 2))
-    analyze = partial(analyze_simplex, threshold=threshold)
-    # Under fork the pool starts all max_workers processes at the first
-    # submit, so ask for no more than there are records.  The simplices
-    # travel to the workers with their cached facts.
-    workers = min(_worker_count(), len(census))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            details = list(pool.map(analyze, census))
-    else:
-        details = list(map(analyze, census))
+    details = fork_map(partial(analyze_simplex, threshold=threshold), census)
     details.sort(key=lambda d: d["canonical"])
     return {
         "schemaVersion": SCHEMA_VERSION,

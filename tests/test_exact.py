@@ -273,6 +273,29 @@ def test_primitive_direction():
         primitive_direction([0, 0])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: det([[2.0, 0], [0, 1]]),
+        lambda: solve([[2.0, 0], [0, 1]], [1, 1]),
+        lambda: solve([[2, 0], [0, 1]], [1.0, 1]),
+        lambda: mat_inverse([[1, 0.5], [0, 1]]),
+        lambda: primitive_direction([1.0, 2]),
+        lambda: scaled([F(1, 2), 0.25]),
+    ],
+    ids=["det", "solve", "solve-rhs", "mat_inverse", "primitive_direction",
+         "scaled"],
+)
+def test_float_entry_raises(call):
+    # a float raises LinAlgError before any arithmetic, as in hnf
+    with pytest.raises(LinAlgError, match="int or Fraction"):
+        call()
+
+
+def test_float_matrix_is_not_unimodular():
+    assert not is_unimodular([[1.0, 0], [0, 1]])
+
+
 # Sparse entries: many zeros, so pivots are often not in the first row,
 # next to small and very large ones.
 sparse_entry = st.one_of(

@@ -1,3 +1,6 @@
+import os
+import signal
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -13,7 +16,10 @@ from latticebound import (
     parse_simplices,
     zpw_simplex,
 )
-from latticebound.io import format_census
+from latticebound import io as lb_io
+from latticebound.cli import EXIT_USAGE, EXIT_VERIFICATION, main
+from latticebound.geometry import VerificationError
+from latticebound.io import _worker_count, format_census
 
 F = Fraction
 
@@ -152,32 +158,12 @@ class TestOutlookReport:
         monkeypatch.setenv("LATTICEBOUND_THREADS", "2")
         assert outlook_report(census) == serial
 
-    def test_pool_not_larger_than_census(self, sample_census_path, monkeypatch):
-        # fork starts max_workers processes at once: ask for one per record
-        import concurrent.futures
-
+    def test_pool_not_larger_than_census(self, sample_census_path,
+                                         monkeypatch):
+        # 64 workers asked for and 64 CPUs, but 3 records: the parent
+        # works one share and forks a child for each of the other two
         census = ingest_census(sample_census_path, 2)[:3]
-        serial = outlook_report(census)
-        requested = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            InlinePool)
-        monkeypatch.setenv("LATTICEBOUND_THREADS", "64")
-        assert outlook_report(census) == serial
-        assert requested == [3]
+        assert forks_for(census, "64", 64, monkeypatch) == 2
 
     def test_each_fact_computed_once(self, sample_census_path, monkeypatch):
         # one canonical form (24 HNFs at d=3) per record, shared by ingest
@@ -231,3 +217,155 @@ class TestOutlookReport:
         assert d["interiorCount"] == 0
         assert "nu" not in d and not d["inSk1"]
         assert report["nuExceeds"] == 0
+
+
+def assert_no_children():
+    # waitpid(-1) raises ChildProcessError only when this process has no
+    # child at all, running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Worker counts that do not depend on the machine's CPU count."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+
+def patch_analyze(monkeypatch, in_parent=None, in_child=None):
+    """Make ``analyze_simplex`` call ``in_parent()`` in this process, or
+    ``in_child()`` in a forked child, before it analyzes."""
+    parent = os.getpid()
+    analyze = lb_io.analyze_simplex
+
+    def patched(s, threshold=None):
+        action = in_parent if os.getpid() == parent else in_child
+        if action is not None:
+            action()
+        return analyze(s, threshold)
+
+    monkeypatch.setattr(lb_io, "analyze_simplex", patched)
+
+
+def fail():
+    raise VerificationError("cross-check failed in a worker")
+
+
+def forks_for(census, threads, cpus, monkeypatch):
+    """How many children ``outlook_report(census)`` forks when
+    ``LATTICEBOUND_THREADS`` is threads and ``os.cpu_count()`` is cpus;
+    checks the report against the serial one and that all are reaped."""
+    monkeypatch.delenv("LATTICEBOUND_THREADS", raising=False)
+    serial = outlook_report(census)
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        forked.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("LATTICEBOUND_THREADS", threads)
+    assert outlook_report(census) == serial
+    assert_no_children()
+    return len(forked)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize(
+        "threads, cpus, forks",
+        [("5000", 2, 1), ("3", 4, 2), ("3", 1, 0), ("3", None, 0)],
+        ids=["two-cpus", "three-of-four", "one-cpu", "cpu-count-unknown"],
+    )
+    def test_no_more_processes_than_cpus(self, sample_census_path,
+                                         monkeypatch, threads, cpus, forks):
+        census = ingest_census(sample_census_path, 2)
+        assert forks_for(census, threads, cpus, monkeypatch) == forks
+
+    @pytest.mark.parametrize(
+        "threads, n, cpus, expected",
+        [("5000", 5000, 2, 2), ("5000", 3, 8, 3), ("3", 10, 8, 3),
+         ("", 10, 8, 1), ("two", 10, 8, 1), ("0", 10, 8, 1),
+         ("-2", 10, 8, 1), ("4", 10, None, 1), ("4", 0, 8, 1)],
+    )
+    def test_worker_count(self, monkeypatch, threads, n, cpus, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("LATTICEBOUND_THREADS", threads)
+        assert _worker_count(n) == expected
+
+    @pytest.mark.parametrize(
+        "threads, records",
+        [(None, 10), ("1", 10), ("2", 10), ("3", 10), ("5", 3)],
+        ids=["unset", "1", "2", "3-uneven", "more-than-records"],
+    )
+    def test_output_independent_of_workers(self, sample_census_path,
+                                           tmp_path, capsys, monkeypatch,
+                                           four_cpus, threads, records):
+        census = ingest_census(sample_census_path, 2)[:records]
+        path = tmp_path / "census.txt"
+        path.write_text(format_census(census, 2, None))
+        argv = ["report", "outlook", "--census", str(path), "--k", "2",
+                "--json"]
+        monkeypatch.delenv("LATTICEBOUND_THREADS", raising=False)
+        serial = outlook_report(census)
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        if threads is not None:
+            monkeypatch.setenv("LATTICEBOUND_THREADS", threads)
+        assert outlook_report(census) == serial
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
+        assert_no_children()
+
+    def test_serial_without_fork(self, sample_census_path, monkeypatch,
+                                 four_cpus):
+        census = ingest_census(sample_census_path, 2)
+        serial = outlook_report(census)
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setenv("LATTICEBOUND_THREADS", "2")
+        assert outlook_report(census) == serial
+
+    def test_child_error_reaches_the_cli(self, sample_census_path, capsys,
+                                         monkeypatch, four_cpus):
+        patch_analyze(monkeypatch, in_child=fail)
+        monkeypatch.setenv("LATTICEBOUND_THREADS", "3")
+        with pytest.raises(VerificationError,
+                           match="^cross-check failed in a worker$"):
+            outlook_report(ingest_census(sample_census_path, 2))
+        assert_no_children()
+        code = main(["report", "outlook", "--census", sample_census_path,
+                     "--k", "2"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_VERIFICATION
+        assert (out, err) == ("", "error: cross-check failed in a worker\n")
+        assert_no_children()
+
+    def test_parent_error_kills_and_reaps_children(self, sample_census_path,
+                                                   monkeypatch, four_cpus):
+        # the children would work for a minute: the parent's failure must
+        # not wait for them
+        patch_analyze(monkeypatch, in_parent=fail,
+                      in_child=lambda: time.sleep(60))
+        census = ingest_census(sample_census_path, 2)
+        monkeypatch.setenv("LATTICEBOUND_THREADS", "3")
+        start = time.monotonic()
+        with pytest.raises(VerificationError):
+            outlook_report(census)
+        assert time.monotonic() - start < 30
+        assert_no_children()
+
+    def test_killed_child_is_one_error_line(self, sample_census_path,
+                                            capsys, monkeypatch, four_cpus):
+        patch_analyze(monkeypatch,
+                      in_child=lambda: os.kill(os.getpid(), signal.SIGKILL))
+        monkeypatch.setenv("LATTICEBOUND_THREADS", "2")
+        code = main(["report", "outlook", "--census", sample_census_path,
+                     "--k", "2", "--json"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: worker process ")
+        assert err.endswith(" ended without a result\n")
+        assert err.count("\n") == 1
+        assert_no_children()

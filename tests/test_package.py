@@ -112,8 +112,7 @@ def test_commands_import_only_what_they_run(name, threads):
     code, modules = new_modules(argv, stdin, threads)
     assert code == 0
     assert not modules & {"dataclasses", "inspect"}
-    if not (name == "report" and threads == 2):
-        assert "concurrent.futures" not in modules
+    assert not modules & {"concurrent.futures", "multiprocessing"}
     if name in ("count-interior", "canon"):
         assert not modules & {"latticebound.bounds", "latticebound.survey"}
 
