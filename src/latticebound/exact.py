@@ -41,18 +41,19 @@ def scaled(v) -> tuple[list[int], int]:
     return [x.numerator * (m // x.denominator) for x in v], m
 
 
-def _bareiss(a, n) -> int:
+def _bareiss(a, n, jordan=False) -> int:
     """Bareiss fraction-free forward elimination, in place.
 
     Eliminates below the diagonal of the first n columns of the integer
-    rows ``a`` (extra columns, such as a right-hand side, go along).
-    Returns the sign of the row permutation, or 0 when a column has no
-    pivot.
+    rows ``a`` (extra columns, such as a right-hand side, go along), and
+    with ``jordan`` above it too (Gauss-Jordan; only the last diagonal
+    entry is then kept current).  Returns the sign of the row
+    permutation, or 0 when a column has no pivot.
     """
     width = len(a[0])
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n if jordan else n - 1):
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
@@ -61,12 +62,22 @@ def _bareiss(a, n) -> int:
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
+        for i in [*range(k if jordan else 0), *range(k + 1, n)]:
             for j in range(k + 1, width):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
     return sign
+
+
+def _adjugate(m) -> tuple[list[list[int]] | None, int]:
+    """(adj m, det m) of a square integer matrix m by a Gauss-Jordan pass on
+    [m | I], which ends at [D I | D m^-1]; adj is None when det m is 0."""
+    n = len(m)
+    a = [[*row, *e] for row, e in zip(m, identity(n))]
+    sign = _bareiss(a, n, jordan=True)
+    adj = [[sign * x for x in row[n:]] for row in a] if sign else None
+    return adj, sign * a[n - 1][n - 1]
 
 
 def det(m) -> Fraction:

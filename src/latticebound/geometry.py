@@ -4,21 +4,22 @@ Provides volumes, H-representations, barycentric coordinates and exact
 enumeration of interior / relative-interior lattice points.  Every face
 query derives from the one integer H-representation ``hrep`` of the
 simplex, whose row j is the facet opposite vertex j: a face with vertex
-set I has the rows j in I strict and the rows j not in I tight.  The
-determinant of the edge matrix, the H-representation, the interior points
-and each face's relative-interior points are computed once per simplex
-and kept on the instance.  A ``Fraction`` is built only for a value that
-is rational, such as a volume or a barycentric coordinate.  The
-enumeration is a recursive coordinate sweep driven by Fourier-Motzkin
-bounds, so it never scans full bounding boxes (those explode doubly
-exponentially for the simplices this library cares about).  The sweep
-runs on integer rows, as in the integer elimination step of Pugh's Omega
-test: each row is scaled once to integers by ``exact.scaled``, a strict
-row a.x < b becomes a.x <= b - 1, every row is divided by the gcd of its
-coefficients with the right-hand side floored, an equality is substituted
-rather than paired, and the bounds of each coordinate are floor
-divisions, so neither the elimination nor the sweep does ``Fraction``
-arithmetic.
+set I has the rows j in I strict and the rows j not in I tight.  One
+fraction-free Gauss-Jordan pass gives the edge matrix's adjugate, from
+which ``hrep`` is read, and its determinant; it, the H-representation,
+the interior points and each face's relative-interior points are
+computed once per simplex and kept on the instance.  A ``Fraction`` is
+built only for a value that is rational, such as a volume or a
+barycentric coordinate.  The enumeration is a recursive coordinate sweep
+driven by Fourier-Motzkin bounds, so it never scans full bounding boxes
+(those explode doubly exponentially for the simplices this library cares
+about).  The sweep runs on integer rows, as in the integer elimination
+step of Pugh's Omega test: each row is scaled once to integers by
+``exact.scaled``, a strict row a.x < b becomes a.x <= b - 1, every row
+is divided by the gcd of its coefficients with the right-hand side
+floored, an equality is substituted rather than paired, and the bounds
+of each coordinate are floor divisions, so neither the elimination nor
+the sweep does ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from math import factorial, gcd
 from operator import attrgetter, mul
 
-from .exact import det, scaled
+from .exact import _adjugate, scaled
 
 
 class DegeneracyError(ValueError):
@@ -354,7 +355,7 @@ class LatticePolygon:
 def volume(s: LatticeSimplex) -> Fraction:
     """|det(edge matrix)| / d!, from the determinant computed when s was
     built."""
-    return abs(_edge_det(s)) / factorial(s.dim)
+    return Fraction(abs(_edge_det(s)), factorial(s.dim))
 
 
 def barycentric(x, f: Face) -> list[Fraction]:
@@ -386,33 +387,6 @@ def facets(s: LatticeSimplex) -> list[Face]:
     ]
 
 
-def _facet_inequality(s: LatticeSimplex, omit: int):
-    """Inward inequality (a, b) tight on the facet omitting vertex `omit`.
-
-    The normal and the rhs are ints divided by the gcd of all of them.
-    """
-    d = s.dim
-    w = [s.vertices[j] for j in range(d + 1) if j != omit]
-    # Normal via cofactors of the (d x (d-1)) edge matrix of the facet.
-    edges = [
-        [w[j + 1][i] - w[0][i] for j in range(d - 1)] for i in range(d)
-    ]
-    normal = []
-    for i in range(d):
-        minor = [edges[r] for r in range(d) if r != i]
-        cof = int(det(minor)) if d > 1 else 1
-        normal.append(cof if i % 2 == 0 else -cof)
-    b = sum(n * c for n, c in zip(normal, w[0]))
-    inside = sum(n * c for n, c in zip(normal, s.vertices[omit]))
-    if inside == b:
-        raise DegeneracyError("omitted vertex lies on the facet hyperplane")
-    if inside > b:
-        normal = [-n for n in normal]
-        b = -b
-    g = gcd(b, *normal)
-    return tuple(n // g for n in normal), b // g
-
-
 def _cached(s, key, compute, limit=None):
     """The fact ``key`` about s, a simplex or a ``bounds.Lattice``,
     ``compute()`` once per instance.
@@ -434,18 +408,33 @@ def _cached(s, key, compute, limit=None):
     return value
 
 
-def _edge_det(s: LatticeSimplex) -> Fraction:
-    """det of the edge matrix; computed once per simplex."""
-    return _cached(s, "det", lambda: det(s.edge_matrix()))
+def _edge_adjugate(s: LatticeSimplex) -> tuple:
+    """(adj E, det E) for the edge matrix E; computed once per simplex."""
+    return _cached(s, "adjugate", lambda: _adjugate(s.edge_matrix()))
+
+
+def _edge_det(s: LatticeSimplex) -> int:
+    """det of the edge matrix."""
+    return _edge_adjugate(s)[1]
 
 
 def hrep(s: LatticeSimplex) -> HalfspaceSystem:
     """d+1 integer inequalities; x in s iff all hold, x in int(s) iff all
-    strict.  Row j is the facet opposite vertex j.  Computed once per
-    simplex.
+    strict.  Row j is the facet opposite vertex j.  With E the edge matrix,
+    its normal is -sign(det E) times row j-1 of adj E for j >= 1 and minus
+    their sum for j = 0; its rhs is read at v_0 (at v_1 for j = 0), and
+    both are divided by their gcd.  Computed once per simplex.
     """
-    rows = (_facet_inequality(s, i) for i in range(s.dim + 1))
-    return _cached(s, "hrep", lambda: HalfspaceSystem(*zip(*rows)))
+    def compute():
+        adj, d = _edge_adjugate(s)
+        rows = []
+        for j, row in enumerate([[-sum(col) for col in zip(*adj)], *adj]):
+            rhs = sum(map(mul, row, s.vertices[0 if j else 1]))
+            g = gcd(rhs, *row) if d < 0 else -gcd(rhs, *row)
+            rows.append((tuple(x // g for x in row), rhs // g))
+        return HalfspaceSystem(*zip(*rows))
+
+    return _cached(s, "hrep", compute)
 
 
 def interior_points(s: LatticeSimplex, limit=None) -> list[tuple[int, ...]]:

@@ -191,20 +191,38 @@ def analyze_simplex(s, threshold=None) -> dict:
     return detail
 
 
+def _cpus():
+    """CPUs this process may run on (``os.cpu_count()`` without affinity)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count()
+
+
 def _worker_count(n) -> int:
     raw = os.environ.get("LATTICEBOUND_THREADS", "")
     try:
-        return max(1, min(int(raw), n, os.cpu_count() or 1))
+        return max(1, min(int(raw), n, _cpus() or 1))
     except ValueError:
         return 1
+
+
+def _map_share(fn, items, i, w):
+    """``list(map(fn, items[i::w]))``, or (index, exception) of its failure."""
+    out = []
+    try:
+        for x in items[i::w]:
+            out.append(fn(x))
+    except Exception as exc:
+        return i + len(out) * w, exc
+    return out
 
 
 def fork_map(fn, items) -> list:
     """``list(map(fn, items))`` over w = ``_worker_count`` processes: the
     parent maps items[0::w] and forks a child per share items[i::w], which
-    pickles its results, or its exception, down a pipe.  Every child is
-    reaped (killed first if the map fails); one that dies without a
-    result raises ``ChildProcessError``.  Serial without ``os.fork``."""
+    pickles its ``_map_share`` down a pipe.  Every child is reaped, and
+    killed first if item 0 fails or one dies without a result (which
+    raises ``ChildProcessError``); then the lowest failing item raises,
+    as in the serial map.  Serial without ``os.fork``."""
     w = _worker_count(len(items))
     if w == 1 or not hasattr(os, "fork"):
         return list(map(fn, items))
@@ -216,25 +234,21 @@ def fork_map(fn, items) -> list:
             fh, out = map(open, os.pipe(), ("rb", "wb"))
             if not (pid := os.fork()):
                 try:
-                    try:
-                        share = [fn(x) for x in items[i::w]]
-                    except Exception as exc:
-                        share = exc
                     with out:
-                        pickle.dump(share, out)
+                        pickle.dump(_map_share(fn, items, i, w), out)
                 finally:
                     os._exit(0)
             out.close()
             children.append((pid, fh))
-        shares.append([fn(x) for x in items[::w]])
+        shares.append(_map_share(fn, items, 0, w))
+        if isinstance(shares[0], tuple) and shares[0][0] == 0:
+            raise shares[0][1]
         for pid, fh in children:
             try:
                 shares.append(pickle.load(fh))
             except Exception:
                 raise ChildProcessError(
                     f"worker process {pid} ended without a result") from None
-            if isinstance(shares[-1], Exception):
-                raise shares[-1]
     finally:
         for pid, fh in children:
             fh.close()
@@ -243,6 +257,8 @@ def fork_map(fn, items) -> list:
 
                 os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
+    if failed := [share for share in shares if isinstance(share, tuple)]:
+        raise min(failed)[1]
     return [shares[j % w][j // w] for j in range(len(items))]
 
 

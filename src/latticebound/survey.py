@@ -2,7 +2,8 @@
 
 Triangles are enumerated in Hermite-shaped coordinates conv(o, (a,0),
 (b,c)) and deduplicated by canonical form, so each unimodular equivalence
-class with area at most the cap appears exactly once.
+class with area at most the cap appears exactly once.  Pick's formula
+picks the candidates, and rules out whole pairs (a, c) by divisor sums.
 """
 
 from __future__ import annotations
@@ -34,6 +35,22 @@ def _pick_interior_count(a, b, c):
     return interior2 // 2
 
 
+def _pick_triples(k, cap):
+    """(a, b, c) in scan order with 0 <= b < c, ac <= 2 cap and k interior
+    points in conv(o, (a,0), (b,c)) by Pick.  Both gcds in gcd(b, c) +
+    gcd(b - a, c) = ac - a + 2 - 2k divide c, so the b loop runs only when
+    the right-hand side is a sum of two divisors of c.
+    """
+    divisors = [[x for x in range(1, c + 1) if c % x == 0]
+                for c in range(2 * cap + 1)]
+    sums = [{x + y for x in ds for y in ds} for ds in divisors]
+    for a in range(1, 2 * cap + 1):
+        for c in range(1, (2 * cap) // a + 1):
+            if a * c - a + 2 - 2 * k in sums[c]:
+                yield from ((a, b, c) for b in range(c)
+                            if _pick_interior_count(a, b, c) == k)
+
+
 def _maximizers(reps):
     """(max area, the triangles attaining it) over Hermite-shaped
     triangles conv(o, (a,0), (b,c)), whose area is ac/2."""
@@ -56,19 +73,14 @@ def enumerate_triangles(k: int, cap: int | None = None) -> TriangleCensus:
     if cap < 2 * (k + 1):
         raise ValueError("cap must be at least 2(k+1)")
     seen = {}
-    for a in range(1, 2 * cap + 1):
-        c_max = (2 * cap) // a
-        for c in range(1, c_max + 1):
-            for b in range(c):
-                if _pick_interior_count(a, b, c) != k:
-                    continue
-                tri = LatticeSimplex([(0, 0), (a, 0), (b, c)])
-                # Cross-check Pick against direct enumeration.
-                direct = len(interior_points(tri, limit=k + 1))
-                check(direct == k, "Pick and direct interior counts disagree")
-                key = canonical_form(tri).key()
-                if key not in seen:
-                    seen[key] = tri
+    for a, b, c in _pick_triples(k, cap):
+        tri = LatticeSimplex([(0, 0), (a, 0), (b, c)])
+        # Cross-check Pick against direct enumeration.
+        direct = len(interior_points(tri, limit=k + 1))
+        check(direct == k, "Pick and direct interior counts disagree")
+        key = canonical_form(tri).key()
+        if key not in seen:
+            seen[key] = tri
     reps = tuple(seen[key] for key in sorted(seen))
     return TriangleCensus(k, reps, *_maximizers(reps), cap)
 

@@ -78,13 +78,15 @@ def _least_hnf(h, col):
     whose columns before col are in Hermite form.
 
     Each column put at position col is reduced once for every order that
-    continues from it.  The last two columns are not shared: both of their
-    orders end in ``_finish``, which runs ``hnf`` once on the trailing 2×2
-    block (all of h at d = 2).
+    continues from it.  The last two columns are not shared: each of their
+    two orders ends in one ``hnf`` call on the trailing 2×2 block, through
+    ``_finish``, or directly at d = 2, where that block is all of h.
     """
     left = len(h) - col
     if left == 1:
         return hnf(h)
+    if left == 2 and col == 0:
+        return min(hnf(h), hnf([r[::-1] for r in h]))
     if left == 2:
         a, b = [r[col] for r in h], [r[col + 1] for r in h]
         return min(_finish(h, col, a, b), _finish(h, col, b, a))

@@ -17,6 +17,7 @@ from latticebound import (
     solve,
 )
 from latticebound.exact import (
+    _adjugate,
     _hnf_column,
     _xgcd,
     identity,
@@ -348,3 +349,18 @@ def test_hnf_singular_raises(m, data):
 def test_xgcd(a, b):
     g, s, t = _xgcd(a, b)
     assert g == s * a + t * b == gcd(a, b) >= 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(square)
+@example([[0, 1], [1, 0]])
+@example([[0, 0], [1, 1]])
+def test_adjugate_times_matrix_is_det(m):
+    adj, d = _adjugate(m)
+    assert d == det(m) and type(d) is int
+    if d == 0:
+        assert adj is None
+    else:
+        n = len(m)
+        assert mat_mul(adj, m) == mat_mul(m, adj) == [
+            [d if i == j else 0 for j in range(n)] for i in range(n)]

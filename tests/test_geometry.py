@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hrep_oracle
 from latticebound import (
     DegeneracyError,
     Face,
@@ -28,6 +29,8 @@ from latticebound import (
     zpw_simplex,
 )
 from conftest import box_scan_interior
+from latticebound.exact import det
+from latticebound.geometry import _edge_det
 
 F = Fraction
 
@@ -60,7 +63,7 @@ class TestVolume:
         def recomputed(m):
             raise AssertionError("det was computed again")
 
-        monkeypatch.setattr(geometry, "det", recomputed)
+        monkeypatch.setattr(geometry, "_adjugate", recomputed)
         assert volume(s) == F(31, 6)
 
 
@@ -150,6 +153,19 @@ class TestHrep:
         for ai, bi in zip(h.a, h.b):
             assert all(type(c) is int for c in ai + (bi,))
             assert gcd(bi, *ai) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda d: st.lists(
+        st.tuples(*[st.integers(-9, 9)] * d), min_size=d + 1,
+        max_size=d + 1)))
+    def test_matches_cofactor_oracle(self, verts):
+        try:
+            s = LatticeSimplex(verts)
+        except DegeneracyError:
+            assume(False)
+        h = hrep(s)
+        assert (h.a, h.b) == hrep_oracle.hrep(s)
+        assert _edge_det(s) == det(s.edge_matrix())
 
 
 class TestInteriorPoints:
@@ -310,7 +326,7 @@ class TestCachedFacts:
         def recomputed(*args, **kwargs):
             raise AssertionError("a cached fact was recomputed")
 
-        monkeypatch.setattr(geometry, "_facet_inequality", recomputed)
+        monkeypatch.setattr(geometry, "_edge_adjugate", recomputed)
         monkeypatch.setattr(geometry, "integer_points", recomputed)
         monkeypatch.setattr(unimodular, "hnf", recomputed)
         assert (hrep(t), interior_points(t),

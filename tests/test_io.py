@@ -163,7 +163,7 @@ class TestOutlookReport:
         # 64 workers asked for and 64 CPUs, but 3 records: the parent
         # works one share and forks a child for each of the other two
         census = ingest_census(sample_census_path, 2)[:3]
-        assert forks_for(census, "64", 64, monkeypatch) == 2
+        assert forks_for(census, "64", lambda: 64, monkeypatch) == 2
 
     def test_each_fact_computed_once(self, sample_census_path, monkeypatch):
         # one canonical form (24 HNFs at d=3) per record, shared by ingest
@@ -228,8 +228,8 @@ def assert_no_children():
 
 @pytest.fixture
 def four_cpus(monkeypatch):
-    """Worker counts that do not depend on the machine's CPU count."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    """Worker counts that do not depend on the machine's CPUs."""
+    monkeypatch.setattr(lb_io, "_cpus", lambda: 4)
 
 
 def patch_analyze(monkeypatch, in_parent=None, in_child=None):
@@ -253,8 +253,9 @@ def fail():
 
 def forks_for(census, threads, cpus, monkeypatch):
     """How many children ``outlook_report(census)`` forks when
-    ``LATTICEBOUND_THREADS`` is threads and ``os.cpu_count()`` is cpus;
-    checks the report against the serial one and that all are reaped."""
+    ``LATTICEBOUND_THREADS`` is threads and ``cpus`` stands in for
+    ``io._cpus``; checks the report against the serial one and that all
+    are reaped."""
     monkeypatch.delenv("LATTICEBOUND_THREADS", raising=False)
     serial = outlook_report(census)
     forked = []
@@ -265,7 +266,7 @@ def forks_for(census, threads, cpus, monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(lb_io, "_cpus", cpus)
     monkeypatch.setenv("LATTICEBOUND_THREADS", threads)
     assert outlook_report(census) == serial
     assert_no_children()
@@ -281,7 +282,24 @@ class TestWorkers:
     def test_no_more_processes_than_cpus(self, sample_census_path,
                                          monkeypatch, threads, cpus, forks):
         census = ingest_census(sample_census_path, 2)
-        assert forks_for(census, threads, cpus, monkeypatch) == forks
+        assert forks_for(census, threads, lambda: cpus, monkeypatch) == forks
+
+    def test_affinity_of_one_cpu_forks_nothing(self, sample_census_path,
+                                               monkeypatch):
+        # the machine has 4 CPUs, but this process may run on one of them
+        census = ingest_census(sample_census_path, 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2},
+                            raising=False)
+        assert forks_for(census, "3", lb_io._cpus, monkeypatch) == 0
+
+    def test_cpus_counts_the_affinity_where_there_is_one(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3},
+                            raising=False)
+        assert lb_io._cpus() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert lb_io._cpus() == 8
 
     @pytest.mark.parametrize(
         "threads, n, cpus, expected",
@@ -290,7 +308,7 @@ class TestWorkers:
          ("-2", 10, 8, 1), ("4", 10, None, 1), ("4", 0, 8, 1)],
     )
     def test_worker_count(self, monkeypatch, threads, n, cpus, expected):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(lb_io, "_cpus", lambda: cpus)
         monkeypatch.setenv("LATTICEBOUND_THREADS", threads)
         assert _worker_count(n) == expected
 
@@ -316,6 +334,22 @@ class TestWorkers:
         assert outlook_report(census) == serial
         assert main(argv) == 0
         assert capsys.readouterr() == expected
+        assert_no_children()
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_lowest_failing_item_raises(self, monkeypatch, four_cpus,
+                                        threads):
+        # items 1 and 2 fail; at 2 workers item 2 is in the parent's share
+        def square(x):
+            if x in (1, 2):
+                raise ValueError(f"item {x}")
+            return x * x
+
+        monkeypatch.setenv("LATTICEBOUND_THREADS", threads)
+        with pytest.raises(ValueError, match="^item 1$"):
+            lb_io.fork_map(square, list(range(6)))
+        assert_no_children()
+        assert lb_io.fork_map(square, [0, 3, 4, 5]) == [0, 9, 16, 25]
         assert_no_children()
 
     def test_serial_without_fork(self, sample_census_path, monkeypatch,

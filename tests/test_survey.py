@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from latticebound import (
     volume,
     zpw_simplex,
 )
+from latticebound.survey import _pick_triples
 
 F = Fraction
 
@@ -46,7 +48,23 @@ def brute_force_classes(k, cap):
     return seen
 
 
+def full_triple_scan(k, cap):
+    """Oracle: every Hermite-shaped (a, b, c) with ac <= 2 cap whose
+    triangle conv(o, (a,0), (b,c)) has k interior points by Pick, with no
+    pair (a, c) skipped, in the census's scan order."""
+    return [(a, b, c)
+            for a in range(1, 2 * cap + 1)
+            for c in range(1, 2 * cap // a + 1)
+            for b in range(c)
+            if a * c - a - gcd(b, c) - gcd(b - a, c) + 2 == 2 * k]
+
+
 class TestEnumerateTriangles:
+    @pytest.mark.parametrize("k", range(21))
+    def test_skipped_pairs_have_no_triangle(self, k):
+        for cap in (4 * (k + 1), 2 * (k + 1), 6 * (k + 1) + 3):
+            assert list(_pick_triples(k, cap)) == full_triple_scan(k, cap)
+
     def test_k0(self):
         census = enumerate_triangles(0)
         assert len(census.representatives) == 9
