@@ -72,8 +72,14 @@ def _bareiss(a, n, jordan=False) -> int:
 
 def _adjugate(m) -> tuple[list[list[int]] | None, int]:
     """(adj m, det m) of a square integer matrix m by a Gauss-Jordan pass on
-    [m | I], which ends at [D I | D m^-1]; adj is None when det m is 0."""
+    [m | I], which ends at [D I | D m^-1]; adj is None when det m is 0.
+    A 2×2 matrix [[a, b], [c, d]] has adj [[d, -b], [-c, a]] and
+    det ad - bc directly."""
     n = len(m)
+    if n == 2:
+        (a, b), (c, d) = m
+        dm = a * d - b * c
+        return ([[d, -b], [-c, a]] if dm else None), dm
     a = [[*row, *e] for row, e in zip(m, identity(n))]
     sign = _bareiss(a, n, jordan=True)
     adj = [[sign * x for x in row[n:]] for row in a] if sign else None
@@ -166,26 +172,30 @@ def _xgcd(a, b) -> tuple[int, int, int]:
     return x, s, (x - s * a) // b if b else 0
 
 
-def _hnf_column(h, col) -> None:
-    """Bring column ``col`` of the integer rows h into Hermite form.
+def _hnf_column(h, col, top=None) -> None:
+    """Bring column ``col`` of the integer rows h into Hermite form, with
+    its pivot in row ``top`` (``col`` when not given).
 
-    Columns before ``col`` must already be in Hermite form in rows
-    0..col-1.  The first row from ``col`` down that is nonzero in the
-    column becomes the pivot row, and each later nonzero row is combined
-    with it once: the extended gcd g = s a + t c of their entries a, c
-    gives the unimodular step (P, R) -> (s P + t R, (a/g) R - (c/g) P),
-    which leaves g in the pivot row and 0 in the other (R - (c/a) P
-    when a divides c).  The pivot is made positive and the entries above
-    it reduced into [0, pivot).
+    In ``hnf``, top is col and the columns before it are already in
+    Hermite form in rows 0..col-1; with top 0 the rows are any lattice
+    basis and the step splits off one pivot row.  The first row from
+    ``top`` down that is nonzero in the column becomes the pivot row, and
+    each later nonzero row is combined with it once: the extended gcd
+    g = s a + t c of their entries a, c gives the unimodular step
+    (P, R) -> (s P + t R, (a/g) R - (c/g) P), which leaves g in the pivot
+    row and 0 in the other (R - (c/a) P when a divides c).  The pivot is
+    made positive and the entries above it reduced into [0, pivot).
     Rows are replaced, never changed in place, so a shallow copy of h
     may share its rows with h.
     """
-    for i in range(col, len(h)):
+    if top is None:
+        top = col
+    for i in range(top, len(h)):
         if h[i][col]:
             break
     else:
         raise LinAlgError("matrix is rank deficient")
-    pivot, h[i] = h[i], h[col]
+    pivot, h[i] = h[i], h[top]
     for j in range(i + 1, len(h)):
         a, c = pivot[col], h[j][col]
         if c % a:
@@ -198,9 +208,9 @@ def _hnf_column(h, col) -> None:
             h[j] = [y - q * x for x, y in zip(pivot, h[j])]
     if pivot[col] < 0:
         pivot = [-x for x in pivot]
-    h[col] = pivot
+    h[top] = pivot
     p = pivot[col]
-    for i in range(col):
+    for i in range(top):
         q = h[i][col] // p
         if q:
             h[i] = [a - q * b for a, b in zip(h[i], pivot)]

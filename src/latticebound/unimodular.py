@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import inf
+
 from .exact import _hnf_column, det, hnf, identity, mat_vec
 from .geometry import LatticeSimplex, _cached, _frozen
 
@@ -52,46 +54,89 @@ class CanonicalForm:
         return tuple(x for row in self.matrix for x in row)
 
 
-def _moved(h, col, j):
-    """The rows h with column j moved to position col."""
-    return [r[:col] + [r[j]] + r[col:j] + r[j + 1:] for r in h]
+def _tables(h):
+    """The column eliminations of the d×d edge matrix h (d >= 2) that its
+    orderings share.
 
-
-def _reduced(h, col, j):
-    h = _moved(h, col, j)
-    _hnf_column(h, col)
-    return h
-
-
-def _finish(h, col, a, b):
-    """hnf of h with a, b as its last two columns, when its first col = d-2
-    columns are in Hermite form: rows col.. are zero in them, so it is the
-    trailing 2×2 block's hnf, each row above reduced by the block's pivots."""
-    (p, x), (_, q) = hnf([[a[col], b[col]], [a[col + 1], b[col + 1]]])
-    rows = [r[:col] + [u % p, (v - u // p * x) % q]
-            for r, u, v in zip(h[:col], a, b)]
-    return rows + [[0] * col + [p, x], [0] * col + [0, q]]
-
-
-def _least_hnf(h, col):
-    """Least hnf over the orders of the columns col.. of the square h,
-    whose columns before col are in Hermite form.
-
-    Each column put at position col is reduced once for every order that
-    continues from it.  The last two columns are not shared: each of their
-    two orders ends in one ``hnf`` call on the trailing 2×2 block, through
-    ``_finish``, or directly at d = 2, where that block is all of h.
+    A set S of columns is a bitmask.  Eliminating the columns of S, in
+    any order, leaves below the pivots a basis of the row lattice of h
+    cut by {y_S = 0}, which depends on S only: ``level`` keeps one such
+    basis per set.  So the pivot row that column j gives after S is
+    computed once, by one ``_hnf_column`` step on that basis:
+    ``pivots[S][j]`` for |S| <= d-3.  For |S| = d-2, with a, b the two
+    columns left, ``ends[S][a]`` is (p, x, q), where [[p, x], [0, q]] is
+    the ``hnf`` of those two columns, a first.
     """
-    left = len(h) - col
-    if left == 1:
-        return hnf(h)
-    if left == 2 and col == 0:
-        return min(hnf(h), hnf([r[::-1] for r in h]))
-    if left == 2:
-        a, b = [r[col] for r in h], [r[col + 1] for r in h]
-        return min(_finish(h, col, a, b), _finish(h, col, b, a))
-    return min(_least_hnf(_reduced(h, col, j), col + 1)
-               for j in range(col, len(h)))
+    d = len(h)
+    pivots, ends, level = {}, {}, {0: h}
+    for _ in range(d - 2):
+        below = {}
+        for S, rows in level.items():
+            pivots[S] = out = {}
+            for j in range(d):
+                if not S >> j & 1:
+                    m = rows[:]
+                    _hnf_column(m, j, 0)
+                    out[j] = m[0]
+                    below.setdefault(S | 1 << j, m[1:])
+        level = below
+    for S, (r, t) in level.items():
+        a, b = [j for j in range(d) if not S >> j & 1]
+        (p, x), (_, q) = hnf([[r[a], r[b]], [t[a], t[b]]])
+        (p1, x1), (_, q1) = hnf([[r[b], r[a]], [t[b], t[a]]])
+        ends[S] = {a: (p, x, q), b: (p1, x1, q1)}
+    return pivots, ends
+
+
+def _step(upper, pivot, j):
+    """The rows ``upper`` reduced by the pivot row of column j, which
+    follows them.
+
+    Each row is an (entries, row) pair: the row reduced by every pivot
+    row after it, and its form entries from its own pivot on, which are
+    final in the columns eliminated so far.
+    """
+    p = pivot[j]
+    out = []
+    for e, r in upper:
+        q = r[j] // p
+        if q:
+            r = [y - q * z for y, z in zip(r, pivot)]
+        out.append((e + (r[j],), r))
+    out.append(((p,), pivot))
+    return out
+
+
+def _leaf(upper, end, a, b):
+    """The form's rows, without their leading zeros, when the last two
+    columns are a then b: the last two entries of each row in ``upper``
+    reduced by ``end`` = (p, x, q), then the rows of that 2×2 block."""
+    p, x, q = end
+    rows = [e + (u % p, (r[b] - u // p * x) % q)
+            for e, r in upper for u in (r[a],)]
+    rows += (p, x), (q,)
+    return rows
+
+
+def _walk(upper, S, free, pivots, ends, best):
+    """The least of ``best`` and the forms of every order of the columns
+    ``free`` after the eliminated set S, as lists of rows without their
+    leading zeros, which compare like the flattened forms; ``upper``
+    holds the rows of the pivots so far (``_step``).
+
+    A depth-first walk: each step reduces the rows above by the shared
+    pivot row, and each leaf is one ``_leaf`` list compared with ``best``.
+    """
+    if len(free) == 2:
+        for a, b in (free, free[::-1]):
+            rows = _leaf(upper, ends[S][a], a, b)
+            if rows < best:
+                best = rows
+        return best
+    for j in free:
+        best = _walk(_step(upper, pivots[S][j], j), S | 1 << j,
+                     [c for c in free if c != j], pivots, ends, best)
+    return best
 
 
 def canonical_form(s: LatticeSimplex) -> CanonicalForm:
@@ -99,22 +144,36 @@ def canonical_form(s: LatticeSimplex) -> CanonicalForm:
 
     Basing the edge matrix at each candidate vertex quotients out
     translations; HNF quotients the left unimodular action; minimizing
-    over all (d+1)! orderings quotients vertex relabelling.  Orderings
-    that share a prefix of edges share its elimination: since the HNF of
-    u m is the HNF of m for unimodular u, a depth-first walk reduces each
-    prefix's columns once, and ``hnf`` runs once per ordering, on the
-    trailing 2×2 block.  Computed once per simplex.
+    over all (d+1)! orderings quotients vertex relabelling.  At d >= 3
+    each base's orderings share their column eliminations through
+    ``_tables``: the elimination of column j after a set S of columns is
+    computed once per (S, j), whatever order S was eliminated in, and
+    ``hnf`` runs once per (S, order) on the 2×2 block that the last two
+    columns leave, (d+1)·d·(d-1) times per form.  ``_walk`` then visits
+    the d! orderings of each base, keeping a running minimum; what is left
+    per ordering is reducing the rows above each pivot by it.  By
+    uniqueness of the HNF the result is the exhaustive minimum.  At
+    d <= 2 each ordering is one direct ``hnf``.  Computed once per
+    simplex.
     """
-    d, verts = s.dim, s.vertices
-    # Row lists of one shape compare like their flattened entries.
-    forms = (
-        _least_hnf([[w[i] - v[i] for w in verts[:b] + verts[b + 1:]]
-                    for i in range(d)], 0)
-        for b, v in enumerate(verts)
-    )
-    return _cached(
-        s, "canonical", lambda: CanonicalForm(tuple(map(tuple, min(forms))))
-    )
+    def compute():
+        d, verts = s.dim, s.vertices
+        edges = [[[w[i] - v[i] for w in verts[:b] + verts[b + 1:]]
+                  for i in range(d)] for b, v in enumerate(verts)]
+        # Row lists of one shape compare like their flattened entries.
+        if d == 1:
+            form = min(map(hnf, edges))
+        elif d == 2:
+            form = min(f for h in edges
+                       for f in (hnf(h), hnf([r[::-1] for r in h])))
+        else:
+            best = [(inf,)]  # above every form
+            for h in edges:
+                best = _walk([], 0, list(range(d)), *_tables(h), best)
+            form = [(0,) * i + row for i, row in enumerate(best)]
+        return CanonicalForm(tuple(map(tuple, form)))
+
+    return _cached(s, "canonical", compute)
 
 
 def equivalent(a: LatticeSimplex, b: LatticeSimplex) -> bool:

@@ -4,7 +4,9 @@
 Each facet's normal is the vector of signed (d-1)-minors of its edge
 matrix, each one an ``exact.det`` call, oriented towards the omitted
 vertex: d(d+1) determinants per simplex and no adjugate.
-``latticebound.geometry.hrep`` must agree with ``hrep`` here.
+``latticebound.geometry.hrep`` must agree with ``hrep`` here, and
+``latticebound.exact._adjugate`` with ``adjugate``, built from the same
+signed minors.
 """
 
 from math import gcd
@@ -40,3 +42,19 @@ def hrep(s):
     """(a, b): row j is the facet opposite vertex j."""
     rows = [facet_inequality(s, j) for j in range(s.dim + 1)]
     return tuple(a for a, _ in rows), tuple(b for _, b in rows)
+
+
+def adjugate(m):
+    """(adj m, det m) of a square integer matrix, entry (i, j) of adj m the
+    signed minor of m without row j and column i; adj is None when
+    det m is 0."""
+    n = len(m)
+
+    def cofactor(i, j):
+        minor = [[x for c, x in enumerate(row) if c != i]
+                 for r, row in enumerate(m) if r != j]
+        return (-1) ** (i + j) * (int(det(minor)) if n > 1 else 1)
+
+    d = int(det(m))
+    adj = [[cofactor(i, j) for j in range(n)] for i in range(n)]
+    return (adj if d else None), d

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hnf_oracle
+import hrep_oracle
 from latticebound import (
     LinAlgError,
     det,
@@ -364,3 +365,13 @@ def test_adjugate_times_matrix_is_det(m):
         n = len(m)
         assert mat_mul(adj, m) == mat_mul(m, adj) == [
             [d if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_matrix(2, 2), square))
+@example([[0, 0], [0, 0]])
+@example([[2, 4], [1, 2]])
+@example([[0, 1], [1, 0]])
+def test_adjugate_matches_cofactor_oracle(m):
+    # the 2x2 closed form and the Gauss-Jordan pass alike
+    assert _adjugate(m) == hrep_oracle.adjugate(m)

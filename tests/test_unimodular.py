@@ -1,7 +1,6 @@
 import random
 import tracemalloc
 from itertools import permutations
-from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,7 +23,7 @@ from latticebound import (
     zpw_simplex,
 )
 from latticebound import unimodular
-from latticebound.exact import _hnf_column, det, hnf
+from latticebound.exact import det, hnf
 
 
 def _exhaustive_form(s):
@@ -60,11 +59,22 @@ square_matrix = st.integers(2, 6).flatmap(
     )
 )
 
-small_simplex = st.integers(1, 4).flatmap(
-    lambda d: st.lists(
-        st.tuples(*[st.integers(-4, 4)] * d), min_size=d + 1, max_size=d + 1
+
+def _simplex_verts(dims):
+    return dims.flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(-4, 4)] * d),
+            min_size=d + 1, max_size=d + 1,
+        )
     )
-)
+
+
+small_simplex = _simplex_verts(st.integers(1, 4))
+wide_simplex = _simplex_verts(st.integers(3, 5))
+
+# canonical_form calls hnf once per base at d = 1, twice at d = 2 and
+# once per (base, set of d-2 columns, order of the other two) at d >= 3
+HNF_CALLS = {1: 2, 2: 6, 3: 24, 4: 60, 5: 120, 6: 210}
 
 
 class TestApply:
@@ -143,6 +153,15 @@ class TestSharedPrefixForm:
             assume(False)
         assert _form(s) == _exhaustive_form(s)
 
+    @settings(max_examples=8, deadline=None)
+    @given(wide_simplex)
+    def test_matches_exhaustive_oracle_up_to_d5(self, verts):
+        try:
+            s = LatticeSimplex(verts)
+        except DegeneracyError:
+            assume(False)
+        assert _form(s) == _exhaustive_form(s)
+
     @pytest.mark.parametrize("d", range(1, 6))
     @pytest.mark.parametrize("k", range(3))
     def test_zpw(self, d, k):
@@ -159,11 +178,26 @@ class TestSharedPrefixForm:
         assert _form(s) == _exhaustive_form(s)
 
     def test_generic_d6(self):
-        s = _generic_simplex(6, 0)
-        assert _form(s) == _exhaustive_form(s)
+        for seed in range(3):
+            s = _generic_simplex(6, seed)
+            assert _form(s) == _exhaustive_form(s)
 
-    @pytest.mark.parametrize("d", range(1, 6))
-    def test_one_hnf_per_ordering(self, d, monkeypatch):
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_unimodular_image(self, d):
+        s = _generic_simplex(d, 10 + d)
+        image = apply(random_unimodular(d, d), s)
+        assert _form(image) == _form(s) == _exhaustive_form(s)
+
+    def test_back_to_back(self):
+        # no table outlives its base: each form of a run of simplices of
+        # one and of different dimensions matches its oracle
+        run = [_generic_simplex(5, 21), t_simplex(5), _generic_simplex(5, 22),
+               _generic_simplex(4, 23), zpw_simplex(5, 1)]
+        forms = [_form(s) for s in run]
+        assert forms == [_exhaustive_form(s) for s in run]
+
+    @pytest.mark.parametrize("d", sorted(HNF_CALLS))
+    def test_hnf_count(self, d, monkeypatch):
         calls = []
 
         def counting(m):
@@ -172,7 +206,7 @@ class TestSharedPrefixForm:
 
         monkeypatch.setattr(unimodular, "hnf", counting)
         canonical_form(_generic_simplex(d, d))
-        assert len(calls) == factorial(d + 1)
+        assert len(calls) == HNF_CALLS[d]
 
     def test_hnf_runs_on_the_trailing_block(self, monkeypatch):
         shapes = set()
@@ -186,19 +220,25 @@ class TestSharedPrefixForm:
         assert shapes == {(2, 2)}
 
     @settings(max_examples=80, deadline=None)
-    @given(square_matrix)
-    def test_leaf_finish_matches_oracle(self, m):
-        # the 2x2 finish of a prefix-reduced matrix is the hnf of the
-        # original with its last two columns in either order
+    @given(square_matrix, st.data())
+    def test_leaf_finish_matches_oracle(self, m, data):
+        # the shared pivot rows of any d-2 columns, taken in any order,
+        # and the 2x2 leaf give the hnf of m with its columns in that
+        # order, the last two in either order
         assume(det(m) != 0)
-        col = len(m) - 2
-        h = [list(row) for row in m]
-        for c in range(col):
-            _hnf_column(h, c)
-        a, b = [r[col] for r in h], [r[col + 1] for r in h]
-        swapped = [r[:col] + [r[col + 1], r[col]] for r in m]
-        assert unimodular._finish(h, col, a, b) == hnf_oracle.hnf(m)
-        assert unimodular._finish(h, col, b, a) == hnf_oracle.hnf(swapped)
+        d = len(m)
+        order = data.draw(st.permutations(range(d)))
+        pivots, ends = unimodular._tables(m)
+        upper, S = [], 0
+        for j in order[:-2]:
+            upper = unimodular._step(upper, pivots[S][j], j)
+            S |= 1 << j
+        a, b = order[-2:]
+        for last in ([a, b], [b, a]):
+            cols = order[:-2] + last
+            rows = unimodular._leaf(upper, ends[S][last[0]], *last)
+            assert [[0] * i + list(r) for i, r in enumerate(rows)] == (
+                hnf_oracle.hnf([[r[c] for c in cols] for r in m]))
 
     def test_memory_stays_flat(self):
         # a running minimum, not a list of all 5040 forms
