@@ -11,7 +11,7 @@ witnesses why the facet bound holds instance by instance.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .exact import det, mat_vec, primitive_direction
 from .geometry import (
@@ -42,11 +42,11 @@ class Lattice:
     basis: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.basis)
-        object.__setattr__(self, "basis", rows)
-        d = det([list(r) for r in rows])
+        d = det(self.basis)  # a float entry raises LinAlgError
         if d == 0:
             raise ValueError("lattice basis is singular")
+        rows = tuple(tuple(map(Fraction, row)) for row in self.basis)
+        object.__setattr__(self, "basis", rows)
         object.__setattr__(self, "_det", abs(d))
 
     @property
@@ -146,11 +146,7 @@ def facet_bound(s: LatticeSimplex, f: Face) -> FacetBoundResult:
     x = _unique_relint_point(f)
     betas = tuple(barycentric(x, f))
     k = len(interior_points(s))
-    d = s.dim
-    prod = Fraction(1)
-    for b in betas:
-        prod *= b
-    bound = Fraction(k + 1) / (factorial(d) * prod)
+    bound = Fraction(k + 1) / (factorial(s.dim) * prod(betas))
     vol = volume(s)
     check(vol <= bound, "volume exceeds the facet bound")
     return FacetBoundResult(f, x, betas, bound, vol == bound)
@@ -193,10 +189,7 @@ def pikhurko(s: LatticeSimplex) -> PikhurkoResult:
     nu = None
     for x in pts:
         betas = sorted(barycentric(x, full), reverse=True)
-        prod = Fraction(1)
-        for b in betas[:d]:
-            prod *= b
-        bound = Fraction(k) / (factorial(d) * prod)
+        bound = Fraction(k) / (factorial(d) * prod(betas[:d]))
         per_point[x] = PointBound(tuple(betas), bound)
         if nu is None or bound < nu:
             nu = bound
@@ -209,11 +202,7 @@ def tau(s: LatticeSimplex) -> Fraction:
     pts = interior_points(s, limit=1)
     if len(pts) != 1:
         raise ApplicabilityError("simplex must have exactly one interior point")
-    full = Face(s, tuple(range(s.dim + 1)))
-    prod = Fraction(1)
-    for b in barycentric(pts[0], full):
-        prod *= b
-    return prod
+    return prod(barycentric(pts[0], Face(s, tuple(range(s.dim + 1)))))
 
 
 def vdc_check(lat: Lattice, betas) -> VdcResult:

@@ -10,16 +10,19 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .geometry import Face, LatticeSimplex, interior_points, relint_points, volume
+from .geometry import (Face, LatticeSimplex, facets, interior_points,
+                       relint_points, volume)
 from .io import (
     SCHEMA_VERSION,
     ParseError,
     _rat,
+    facet_bound_payload,
     format_census,
     format_simplex,
     ingest_census,
     outlook_report,
     parse_simplices,
+    vdc_payload,
 )
 
 EXIT_OK = 0
@@ -61,7 +64,7 @@ def _read_simplices(path) -> list[LatticeSimplex]:
     if path in (None, "-"):
         text = sys.stdin.read()
     else:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     records = parse_simplices(text)
     if not records:
@@ -73,7 +76,7 @@ def _facet(s: LatticeSimplex, index: int | None) -> Face:
     if index is not None:
         if index < 0 or index > s.dim:
             raise UsageError(f"--facet must be in 0..{s.dim}, got {index}")
-        return Face(s, tuple(j for j in range(s.dim + 1) if j != index))
+        return facets(s)[index]
     from .bounds import best_facet_bound
 
     return best_facet_bound(s).facet
@@ -119,20 +122,13 @@ def cmd_count(args):
 
 
 def cmd_bound(args):
-    from .bounds import facet_bound, pikhurko, proof_trace, tau, vdc_check
+    from .bounds import facet_bound, pikhurko, proof_trace, tau
 
     ok = True
     for s in _read_simplices(args.input):
         if args.what == "facet":
             r = facet_bound(s, _facet(s, args.facet))
-            payload = {
-                "facet": list(r.facet.vertex_indices),
-                "relintPoint": list(r.relint_point),
-                "betas": [_rat(b) for b in r.betas],
-                "bound": _rat(r.bound),
-                "volume": _rat(volume(s)),
-                "tight": r.tight,
-            }
+            payload = facet_bound_payload(r, volume(s))
             ok = ok and volume(s) <= r.bound
         elif args.what == "pikhurko":
             r = pikhurko(s)
@@ -149,17 +145,10 @@ def cmd_bound(args):
             payload = {"tau": _rat(tau(s))}
         else:  # vdc on the proof-trace lattice and box
             trace = proof_trace(s, _facet(s, args.facet))
-            r = vdc_check(trace.lattice, trace.box)
-            payload = {
-                "lhs": _rat(r.lhs),
-                "rhs": _rat(r.rhs),
-                "holds": r.holds,
-                "tight": r.tight,
-                "ySize": len(trace.y_set),
-                "hMinusCount": trace.h_minus_count,
-                "hZeroCount": trace.h_zero_count,
-            }
-            ok = ok and r.holds
+            payload = vdc_payload(trace)
+            payload["hMinusCount"] = trace.h_minus_count
+            payload["hZeroCount"] = trace.h_zero_count
+            ok = ok and payload["holds"]
         _emit(payload, args.json)
     return EXIT_OK if ok else EXIT_VERIFICATION
 
@@ -339,7 +328,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, ParseError, OSError) as exc:
+    except (UsageError, ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:  # DataIntegrityError, ApplicabilityError, ...

@@ -123,42 +123,15 @@ def identity(n) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    if not a or not b or len(a[0]) != len(b):
-        raise LinAlgError("incompatible shapes for multiplication")
-    cols = len(b[0])
-    inner = len(b)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(len(a))
-    ]
-
-
 def mat_vec(m, v):
     if not m or len(m[0]) != len(v):
         raise LinAlgError("incompatible shapes for matrix-vector product")
     return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
 
 
-def transpose(m):
-    return [list(col) for col in zip(*m)]
-
-
 def mat_inverse(m) -> list[list[Fraction]]:
-    n = _check_square(m)
-    cols = []
-    for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        cols.append(solve(m, e))
-    return transpose(cols)
-
-
-def is_unimodular(u) -> bool:
-    try:
-        d = det(u)
-    except LinAlgError:
-        return False
-    return abs(d) == 1 and scaled([x for row in u for x in row])[1] == 1
+    cols = [solve(m, e) for e in identity(_check_square(m))]
+    return [list(row) for row in zip(*cols)]
 
 
 def _xgcd(a, b) -> tuple[int, int, int]:

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd
-from operator import attrgetter, mul
+from operator import attrgetter, index, mul
 
-from .exact import _adjugate, scaled
+from .exact import _adjugate, primitive_direction, scaled
 
 
 class DegeneracyError(ValueError):
@@ -258,7 +258,7 @@ class LatticeSimplex:
     vertices: tuple[tuple[int, ...], ...]
 
     def __init__(self, vertices):
-        verts = tuple(tuple(int(c) for c in v) for v in vertices)
+        verts = tuple(tuple(map(index, v)) for v in vertices)
         if not verts:
             raise DegeneracyError("no vertices")
         d = len(verts[0])
@@ -332,7 +332,7 @@ class LatticePolygon:
     vertices: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        verts = tuple(tuple(int(c) for c in v) for v in self.vertices)
+        verts = tuple(tuple(map(index, v)) for v in self.vertices)
         if len(verts) < 3 or any(len(v) != 2 for v in verts):
             raise ValueError("polygon needs at least 3 points in Z^2")
         n = len(verts)
@@ -475,24 +475,13 @@ def relint_points(f: Face, limit=None) -> list[tuple[int, ...]]:
 
 
 def collinear(points) -> bool:
-    """True iff the difference set of the points has rank <= 1."""
+    """True iff the points lie on one line: their nonzero differences from
+    the first point share one ``primitive_direction``."""
     pts = list(points)
     if not pts:
         raise ValueError("need at least one point")
-    diffs = [
-        [c - c0 for c, c0 in zip(p, pts[0])] for p in pts[1:]
-    ]
-    diffs = [dv for dv in diffs if any(c != 0 for c in dv)]
-    if len(diffs) <= 1:
-        return True
-    ref = diffs[0]
-    for dv in diffs[1:]:
-        # rank-1 test: all 2x2 minors with the reference vector vanish
-        for i in range(len(ref)):
-            for j in range(i + 1, len(ref)):
-                if ref[i] * dv[j] - ref[j] * dv[i] != 0:
-                    return False
-    return True
+    diffs = ([c - c0 for c, c0 in zip(p, pts[0])] for p in pts[1:])
+    return len({primitive_direction(v) for v in diffs if any(v)}) <= 1
 
 
 def polygon_counts(p: LatticePolygon):

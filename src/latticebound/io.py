@@ -1,10 +1,11 @@
-"""Simplex text format, census ingestion, and the outlook report, whose
-per-record analyses ``fork_map`` splits over forked worker processes.
+"""Simplex text format, census ingestion, the printed facet-bound and vdc
+payloads, and the outlook report, whose per-record analyses ``fork_map``
+splits over forked worker processes.
 
-Text format: one record is a dimension line ``d`` followed by d+1 lines
-of d space-separated integers; records are separated by blank lines and
-``#`` starts a comment.  A comment on the dimension line becomes the
-record's label.
+Text format (UTF-8): one record is a dimension line ``d`` followed by
+d+1 lines of d space-separated integers; records are separated by blank
+lines and ``#`` starts a comment.  A comment on the dimension line
+becomes the record's label.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def ingest_census(path, expected_k: int) -> list[LatticeSimplex]:
     """
     from .unimodular import canonical_form
 
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         records = parse_simplices(fh.read())
     simplices = []
     seen = {}
@@ -142,13 +143,43 @@ def _rat(x) -> str:
     return str(Fraction(x))
 
 
+def facet_bound_payload(fb, volume=None) -> dict:
+    """The facet bound ``fb`` as printed, with ``volume`` before ``tight``
+    when given."""
+    payload = {
+        "facet": list(fb.facet.vertex_indices),
+        "relintPoint": list(fb.relint_point),
+        "betas": [_rat(b) for b in fb.betas],
+        "bound": _rat(fb.bound),
+    }
+    if volume is not None:
+        payload["volume"] = _rat(volume)
+    payload["tight"] = fb.tight
+    return payload
+
+
+def vdc_payload(trace) -> dict:
+    """The symmetric-box check on the lattice and box of a proof trace, as
+    printed."""
+    from .bounds import vdc_check
+
+    vdc = vdc_check(trace.lattice, trace.box)
+    return {
+        "lhs": _rat(vdc.lhs),
+        "rhs": _rat(vdc.rhs),
+        "holds": vdc.holds,
+        "tight": vdc.tight,
+        "ySize": len(trace.y_set),
+    }
+
+
 def analyze_simplex(s, threshold=None) -> dict:
     """Full per-simplex bound report (the unit of CLI/JSON output) of a
     ``LatticeSimplex``, whose cached facts it reuses, or of its vertices.
     Given a ``threshold``, it ends with ``nuExceedsThreshold``: nu exists
     and exceeds it."""
     from .bounds import (ApplicabilityError, best_facet_bound, pikhurko,
-                         proof_trace, vdc_check)
+                         proof_trace)
     from .unimodular import canonical_form
 
     s = s if isinstance(s, LatticeSimplex) else LatticeSimplex(s)
@@ -168,22 +199,8 @@ def analyze_simplex(s, threshold=None) -> dict:
     try:
         fb = best_facet_bound(s)
         detail["inSk1"] = True
-        detail["facetBound"] = {
-            "facet": list(fb.facet.vertex_indices),
-            "relintPoint": list(fb.relint_point),
-            "betas": [_rat(b) for b in fb.betas],
-            "bound": _rat(fb.bound),
-            "tight": fb.tight,
-        }
-        trace = proof_trace(s, fb.facet)
-        vdc = vdc_check(trace.lattice, trace.box)
-        detail["vdc"] = {
-            "lhs": _rat(vdc.lhs),
-            "rhs": _rat(vdc.rhs),
-            "holds": vdc.holds,
-            "tight": vdc.tight,
-            "ySize": len(trace.y_set),
-        }
+        detail["facetBound"] = facet_bound_payload(fb)
+        detail["vdc"] = vdc_payload(proof_trace(s, fb.facet))
     except ApplicabilityError:
         detail["inSk1"] = False
     if threshold is not None:

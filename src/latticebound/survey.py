@@ -13,7 +13,7 @@ from math import gcd
 
 from .bounds import qualifying_facets
 from .constructions import zpw_simplex
-from .geometry import LatticeSimplex, _frozen, check, interior_points
+from .geometry import LatticeSimplex, _frozen, check, interior_points, volume
 from .unimodular import canonical_form, equivalent
 
 
@@ -41,8 +41,10 @@ def _pick_triples(k, cap):
     gcd(b - a, c) = ac - a + 2 - 2k divide c, so the b loop runs only when
     the right-hand side is a sum of two divisors of c.
     """
-    divisors = [[x for x in range(1, c + 1) if c % x == 0]
-                for c in range(2 * cap + 1)]
+    divisors = [[] for _ in range(2 * cap + 1)]
+    for x in range(1, 2 * cap + 1):
+        for c in range(x, 2 * cap + 1, x):
+            divisors[c].append(x)
     sums = [{x + y for x in ds for y in ds} for ds in divisors]
     for a in range(1, 2 * cap + 1):
         for c in range(1, (2 * cap) // a + 1):
@@ -52,9 +54,8 @@ def _pick_triples(k, cap):
 
 
 def _maximizers(reps):
-    """(max area, the triangles attaining it) over Hermite-shaped
-    triangles conv(o, (a,0), (b,c)), whose area is ac/2."""
-    areas = [Fraction(t.vertices[1][0] * t.vertices[2][1], 2) for t in reps]
+    """(max area, the triangles attaining it)."""
+    areas = [volume(t) for t in reps]
     max_area = max(areas, default=Fraction(0))
     return max_area, tuple(t for t, a in zip(reps, areas) if a == max_area)
 

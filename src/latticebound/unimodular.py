@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from math import inf
+from operator import index
 
 from .exact import _hnf_column, det, hnf, identity, mat_vec
 from .geometry import LatticeSimplex, _cached, _frozen
@@ -16,8 +17,8 @@ class AffineUnimodular:
     t: tuple[int, ...]
 
     def __post_init__(self):
-        u = tuple(tuple(int(x) for x in row) for row in self.u)
-        t = tuple(int(x) for x in self.t)
+        u = tuple(tuple(map(index, row)) for row in self.u)
+        t = tuple(map(index, self.t))
         if len(t) != len(u) or any(len(row) != len(u) for row in u):
             raise ValueError("shape mismatch between matrix and translation")
         if abs(det([list(r) for r in u])) != 1:

@@ -37,6 +37,13 @@ def box_scan_interior(s: LatticeSimplex):
     return sorted(out)
 
 
+def mat_mul(a, b):
+    """Plain matrix product of two lists of rows."""
+    assert a and b and len(a[0]) == len(b), "incompatible shapes"
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
 def shoelace_pick(verts):
     """(area, boundary, interior) of a lattice triangle, independent path."""
     (ax, ay), (bx, by), (cx, cy) = verts

@@ -304,6 +304,20 @@ class TestUsage:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "interior", "--input", "FILE"],
+        ["ingest", "--census", "FILE", "--k", "2"],
+        ["report", "outlook", "--census", "FILE"],
+    ])
+    def test_input_that_is_not_utf8_is_usage(self, capsys, tmp_path, argv):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run([str(path) if a == "FILE" else a for a in argv],
+                             capsys=capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "decode" in err and "Traceback" not in err
+
 
 def test_python_dash_m_runs_the_cli(capsys):
     src = str(Path(latticebound.__file__).resolve().parents[1])

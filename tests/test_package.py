@@ -1,5 +1,7 @@
 """The package surface: lazy exports, per-command imports, value classes."""
 
+import importlib.util
+import json
 import os
 import pickle
 import subprocess
@@ -18,6 +20,7 @@ from latticebound import (
     FacetBoundResult,
     HalfspaceSystem,
     Lattice,
+    LinAlgError,
     LatticePolygon,
     LatticeSimplex,
     PikhurkoResult,
@@ -49,34 +52,37 @@ T2 = "2\n0 0\n2 0\n0 3\n"
 PROBE = """
 import contextlib, io, sys
 before = set(sys.modules)
+out = io.StringIO()
 if sys.argv[1:] == ["--package"]:
     import latticebound
     code = 0
 else:
     from latticebound.cli import main
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(out):
         code = main(sys.argv[1:])
-print(code, *sorted(set(sys.modules) - before))
+print(code, *sorted(set(sys.modules) - before), file=sys.stderr)
+sys.stdout.buffer.write(out.getvalue().encode())
 """
 
 
 def new_modules(argv, stdin="", threads=None):
-    """Exit code and the modules that running argv imported, in a fresh
-    interpreter."""
+    """Exit code, the modules that running argv imported and its stdout
+    bytes, in a fresh interpreter."""
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("LATTICEBOUND_")}
     path = env.get("PYTHONPATH")
     env["PYTHONPATH"] = SRC + (os.pathsep + path if path else "")
     if threads is not None:
         env["LATTICEBOUND_THREADS"] = str(threads)
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], input=stdin,
-                          capture_output=True, text=True, env=env, check=True)
-    code, *modules = proc.stdout.split()
-    return int(code), set(modules)
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv],
+                          input=stdin.encode(), capture_output=True, env=env,
+                          check=True)
+    code, *modules = proc.stderr.decode().split()
+    return int(code), set(modules), proc.stdout
 
 
 def test_importing_the_package_loads_no_submodule():
-    code, modules = new_modules(["--package"])
+    code, modules, _ = new_modules(["--package"])
     assert code == 0
     assert "latticebound" in modules
     assert not [m for m in modules if m.startswith("latticebound.")]
@@ -100,17 +106,24 @@ COMMANDS = {
     "verify": (["verify", "main2d", "--k", "1", "--json"], ""),
     "ingest": (["ingest", "--census", None, "--k", "2"], ""),
     "report": (["report", "outlook", "--census", None, "--k", "2", "--json"], ""),
+    "bound-facet-text": (["bound", "facet"], S32),
+    "bound-vdc-text": (["bound", "vdc"], S32),
+    "report-text": (["report", "outlook", "--census", None, "--k", "2"], ""),
 }
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize(
     "name, threads", [(n, None) for n in sorted(COMMANDS)] + [("report", 2)]
 )
 def test_commands_import_only_what_they_run(name, threads):
+    """Each command imports only what it runs and prints, byte for byte,
+    its output in tests/golden/."""
     argv, stdin = COMMANDS[name]
     argv = [census() if a is None else a for a in argv]
-    code, modules = new_modules(argv, stdin, threads)
+    code, modules, out = new_modules(argv, stdin, threads)
     assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_bytes()
     assert not modules & {"dataclasses", "inspect"}
     assert not modules & {"concurrent.futures", "multiprocessing"}
     if name in ("count-interior", "canon"):
@@ -281,3 +294,44 @@ def test_post_init_still_validates():
     with pytest.raises(ValueError):
         Lattice(((1, 2), (2, 4)))
     assert facets(s)[0] == Face(s, (1, 2, 3))
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: LatticeSimplex([(0, 0), (1.9, 0), (0, 1)]), TypeError),
+    (lambda: LatticePolygon([(0, 0), ("3", 0), (0, 3)]), TypeError),
+    (lambda: AffineUnimodular(((1.0, 0), (0, 1)), (0, 0)), TypeError),
+    (lambda: Lattice(((0.1, 0), (0, 1))), LinAlgError),
+], ids=["LatticeSimplex", "LatticePolygon", "AffineUnimodular", "Lattice"])
+def test_non_integer_input_is_refused_not_converted(make, error):
+    with pytest.raises(error):
+        make()
+
+
+# ---------------------------------------------------------------------------
+# What perfbench/ reads off the library
+# ---------------------------------------------------------------------------
+
+def test_benchmark_span_names_resolve():
+    """Every function and method perfbench/spans.py wraps exists, and
+    analyze_simplex runs on bare vertices as perfbench/run.py calls it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod, names in spans.FUNCTIONS.items():
+        home = importlib.import_module(f"latticebound.{mod}")
+        assert all(callable(getattr(home, name)) for name in names)
+    for mod, cls, meth in spans.METHODS.values():
+        home = importlib.import_module(f"latticebound.{mod}")
+        assert meth in vars(getattr(home, cls))
+
+    from latticebound.io import analyze_simplex
+
+    detail = analyze_simplex(zpw_simplex(3, 2).vertices)
+    assert "nuExceedsThreshold" not in detail
+    # the report renders the bound and the box check as `bound` does
+    facet = json.loads((GOLDEN / "bound-facet.txt").read_text())
+    vdc = json.loads((GOLDEN / "bound-vdc.txt").read_text())
+    del facet["volume"], facet["schemaVersion"], vdc["schemaVersion"]
+    del vdc["hMinusCount"], vdc["hZeroCount"]
+    assert detail["facetBound"] == facet and detail["vdc"] == vdc
