@@ -35,6 +35,15 @@ class ApplicabilityError(ValueError):
     """The hypotheses of the requested bound do not hold for this input."""
 
 
+def _half_widths(betas) -> tuple[Fraction, ...]:
+    """Box half-widths as ``Fraction``s; as in the value classes, an entry
+    that is not an ``int`` or a ``Fraction`` raises TypeError."""
+    betas = tuple(betas)
+    if not all(isinstance(b, (int, Fraction)) for b in betas):
+        raise TypeError("box half-widths must be int or Fraction")
+    return tuple(map(Fraction, betas))
+
+
 @_frozen
 class Lattice:
     """Rank-d lattice generated by the columns of a rational basis matrix."""
@@ -65,7 +74,7 @@ class Lattice:
         truncates as in ``integer_points``; computed once per box.
         """
         d = self.dim
-        betas = tuple(Fraction(b) for b in betas)
+        betas = _half_widths(betas)
         if len(betas) != d or any(b <= 0 for b in betas):
             raise ValueError("box half-widths must be positive, one per axis")
 
@@ -212,7 +221,7 @@ def vdc_check(lat: Lattice, betas) -> VdcResult:
     lattice points interior to the box.  holds must be true for every
     lattice and box; tight cases are the interesting ones.
     """
-    betas = [Fraction(b) for b in betas]
+    betas = _half_widths(betas)
     d = lat.dim
     lhs = Fraction(2) ** d
     for b in betas:

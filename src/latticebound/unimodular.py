@@ -5,7 +5,7 @@ from __future__ import annotations
 from math import inf
 from operator import index
 
-from .exact import _hnf_column, det, hnf, identity, mat_vec
+from .exact import _hnf_column, _xgcd, det, hnf, identity, mat_vec
 from .geometry import LatticeSimplex, _cached, _frozen
 
 
@@ -55,6 +55,23 @@ class CanonicalForm:
         return tuple(x for row in self.matrix for x in row)
 
 
+def _pivot_row(rows, j):
+    """The pivot row that ``_hnf_column(rows, j, 0)`` leaves, without the
+    rows below it: the extended-gcd chain down column j builds one row per
+    entry the running pivot does not divide."""
+    pivot = None
+    for r in rows:
+        c = r[j]
+        if not c:
+            continue
+        if pivot is None:
+            pivot = r
+        elif c % pivot[j]:
+            _, s, t = _xgcd(pivot[j], c)
+            pivot = [s * x + t * y for x, y in zip(pivot, r)]
+    return pivot if pivot[j] > 0 else [-x for x in pivot]
+
+
 def _tables(h):
     """The column eliminations of the d×d edge matrix h (d >= 2) that its
     orderings share.
@@ -63,10 +80,13 @@ def _tables(h):
     any order, leaves below the pivots a basis of the row lattice of h
     cut by {y_S = 0}, which depends on S only: ``level`` keeps one such
     basis per set.  So the pivot row that column j gives after S is
-    computed once, by one ``_hnf_column`` step on that basis:
-    ``pivots[S][j]`` for |S| <= d-3.  For |S| = d-2, with a, b the two
-    columns left, ``ends[S][a]`` is (p, x, q), where [[p, x], [0, q]] is
-    the ``hnf`` of those two columns, a first.
+    computed once: ``pivots[S][j]`` for |S| <= d-3.  Only the first j to
+    reach the set S ∪ {j} needs the rows below its pivot, and gets them
+    from one ``_hnf_column`` step; every other (S, j) builds its pivot
+    row alone (``_pivot_row``), the same row that step would leave.  For
+    |S| = d-2, with a, b the two columns left, ``ends[S][a]`` is
+    (p, x, q), where [[p, x], [0, q]] is the ``hnf`` of those two
+    columns, a first.
     """
     d = len(h)
     pivots, ends, level = {}, {}, {0: h}
@@ -75,11 +95,15 @@ def _tables(h):
         for S, rows in level.items():
             pivots[S] = out = {}
             for j in range(d):
-                if not S >> j & 1:
+                if S >> j & 1:
+                    continue
+                if S | 1 << j in below:
+                    out[j] = _pivot_row(rows, j)
+                else:
                     m = rows[:]
                     _hnf_column(m, j, 0)
                     out[j] = m[0]
-                    below.setdefault(S | 1 << j, m[1:])
+                    below[S | 1 << j] = m[1:]
         level = below
     for S, (r, t) in level.items():
         a, b = [j for j in range(d) if not S >> j & 1]
@@ -108,6 +132,14 @@ def _step(upper, pivot, j):
     return out
 
 
+def _rows(node):
+    """The ``_step`` rows of the pivots on the path to ``node``, a list
+    [rows, parent, pivot, j] whose rows are built on first use and kept."""
+    if node[0] is None:
+        node[0] = _step(_rows(node[1]), node[2], node[3])
+    return node[0]
+
+
 def _leaf(upper, end, a, b):
     """The form's rows, without their leading zeros, when the last two
     columns are a then b: the last two entries of each row in ``upper``
@@ -119,24 +151,61 @@ def _leaf(upper, end, a, b):
     return rows
 
 
-def _walk(upper, S, free, pivots, ends, best):
-    """The least of ``best`` and the forms of every order of the columns
-    ``free`` after the eliminated set S, as lists of rows without their
-    leading zeros, which compare like the flattened forms; ``upper``
-    holds the rows of the pivots so far (``_step``).
+def _bound(rows):
+    """The tuple that row 0 of an ordering, or any prefix e of it, must
+    be less than for the ordering to give a form less than ``rows``.
 
-    A depth-first walk: each step reduces the rows above by the shared
-    pivot row, and each leaf is one ``_leaf`` list compared with ``best``.
+    The entries after a prefix are >= 0, so its least completion is
+    e + (0, ..., 0).  That must be at most ``rows[0]``, and less than it
+    when the other rows are the least that any form with that row 0 has:
+    unit rows (1, 0, ..., 0) above a last row that the volume fixes.  The
+    bound is ``rows[0] + (0,)`` in the first case and ``rows[0]`` without
+    its trailing zeros in the second; either way ``e < bound`` is the test.
+    """
+    first = rows[0]
+    if any(r[0] != 1 or any(r[1:]) for r in rows[1:-1]):
+        return first + (0,)
+    while first and not first[-1]:
+        first = first[:-1]
+    return first
+
+
+def _walk(e, r, node, S, free, pivots, ends, best):
+    """The least of ``best`` and the forms of every order of the columns
+    ``free`` after the eliminated set S.  A form is a pair (rows,
+    ``_bound(rows)``), its rows without their leading zeros, which
+    compare like the flattened forms.
+
+    A branch and bound on row 0, which is compared first and depends only
+    on the pivot rows along the path: ``r`` is row 0 reduced by each of
+    them (None before the first) and ``e`` its entries in the eliminated
+    columns, which are final.  A child whose entries are not below the
+    bound is cut with all its orders.  A leaf finishes row 0 from
+    ``ends`` and builds its rows with ``_leaf`` only when that row is
+    below the bound; the rows above the pivots come from ``_rows(node)``,
+    so each node's ``_step`` runs at most once, for the first leaf below
+    it that needs it.
     """
     if len(free) == 2:
         for a, b in (free, free[::-1]):
-            rows = _leaf(upper, ends[S][a], a, b)
-            if rows < best:
-                best = rows
+            p, x, q = end = ends[S][a]
+            u = r[a]
+            if e + (u % p, (r[b] - u // p * x) % q) < best[1]:
+                rows = _leaf(_rows(node), end, a, b)
+                if rows < best[0]:
+                    best = rows, _bound(rows)
         return best
     for j in free:
-        best = _walk(_step(upper, pivots[S][j], j), S | 1 << j,
-                     [c for c in free if c != j], pivots, ends, best)
+        pivot = pivots[S][j]
+        if r is None:
+            rj = pivot
+        else:
+            q = r[j] // pivot[j]
+            rj = [y - q * z for y, z in zip(r, pivot)] if q else r
+        ej = e + (rj[j],)
+        if ej < best[1]:
+            best = _walk(ej, rj, [None, node, pivot, j], S | 1 << j,
+                         [c for c in free if c != j], pivots, ends, best)
     return best
 
 
@@ -147,15 +216,18 @@ def canonical_form(s: LatticeSimplex) -> CanonicalForm:
     translations; HNF quotients the left unimodular action; minimizing
     over all (d+1)! orderings quotients vertex relabelling.  At d >= 3
     each base's orderings share their column eliminations through
-    ``_tables``: the elimination of column j after a set S of columns is
+    ``_tables``: the pivot row of column j after a set S of columns is
     computed once per (S, j), whatever order S was eliminated in, and
     ``hnf`` runs once per (S, order) on the 2×2 block that the last two
-    columns leave, (d+1)·d·(d-1) times per form.  ``_walk`` then visits
-    the d! orderings of each base, keeping a running minimum; what is left
-    per ordering is reducing the rows above each pivot by it.  By
-    uniqueness of the HNF the result is the exhaustive minimum.  At
-    d <= 2 each ordering is one direct ``hnf``.  Computed once per
-    simplex.
+    columns leave, (d+1)·d·(d-1) times per form.  ``_walk`` then searches
+    the d! orderings of each base by branch and bound on the form's first
+    row, against the least form so far: it reduces row 0 alone along each
+    path, cuts every ordering whose first entries already exceed the
+    minimum's (or equal them, once the minimum's other rows are the least
+    any form can have), and builds the other rows only for the orderings
+    left.  By uniqueness of the HNF the result
+    is the exhaustive minimum.  At d <= 2 each ordering is one direct
+    ``hnf``.  Computed once per simplex.
     """
     def compute():
         d, verts = s.dim, s.vertices
@@ -168,10 +240,11 @@ def canonical_form(s: LatticeSimplex) -> CanonicalForm:
             form = min(f for h in edges
                        for f in (hnf(h), hnf([r[::-1] for r in h])))
         else:
-            best = [(inf,)]  # above every form
+            best = [(inf,)], (inf,)  # above every form
             for h in edges:
-                best = _walk([], 0, list(range(d)), *_tables(h), best)
-            form = [(0,) * i + row for i, row in enumerate(best)]
+                best = _walk((), None, [[]], 0, list(range(d)),
+                             *_tables(h), best)
+            form = [(0,) * i + row for i, row in enumerate(best[0])]
         return CanonicalForm(tuple(map(tuple, form)))
 
     return _cached(s, "canonical", compute)

@@ -199,6 +199,20 @@ class TestLattice:
         with pytest.raises(ValueError):
             lat.points_in_open_box([1, 0])
 
+    @pytest.mark.parametrize("width", [1.5, "3/2"], ids=["float", "str"])
+    def test_non_rational_box_refused(self, width):
+        lat = Lattice(((1, 0), (0, 1)))
+        with pytest.raises(TypeError):
+            lat.points_in_open_box([width, 1])
+        with pytest.raises(TypeError):
+            vdc_check(lat, [width, 1])
+
+    def test_fraction_box_accepted(self):
+        lat = Lattice(((1, 0), (0, 1)))
+        assert len(lat.points_in_open_box([F(3, 2), 1])) == 3
+        r = vdc_check(lat, [F(3, 2), 1])
+        assert r.interior_count == 3 and r.lhs == 6
+
 
 class TestVdcCheck:
     @pytest.mark.parametrize("d", [1, 2, 3])

@@ -52,6 +52,11 @@ def _generic_simplex(d, seed):
             continue
 
 
+def _unit_simplex(d):
+    return LatticeSimplex([(0,) * d] + [tuple(int(i == j) for j in range(d))
+                                        for i in range(d)])
+
+
 square_matrix = st.integers(2, 6).flatmap(
     lambda d: st.lists(
         st.lists(st.integers(-9, 9), min_size=d, max_size=d),
@@ -168,14 +173,48 @@ class TestSharedPrefixForm:
         s = zpw_simplex(d, k)
         assert _form(s) == _exhaustive_form(s)
 
-    @pytest.mark.parametrize("d", range(1, 6))
+    @pytest.mark.parametrize("d", range(1, 7))
     def test_t_simplex(self, d):
         s = t_simplex(d)
+        assert _form(s) == _exhaustive_form(s)
+
+    def test_unit_simplex_d6(self):
+        # every ordering gives the same form
+        s = _unit_simplex(6)
         assert _form(s) == _exhaustive_form(s)
 
     def test_exceptional_p31(self):
         s = exceptional_p31()
         assert _form(s) == _exhaustive_form(s)
+
+    def test_leaves_pruned(self, monkeypatch):
+        # the branch and bound builds the rows of a tenth of the 5040
+        # orderings at most on a generic d = 6 simplex
+        calls = []
+        leaf = unimodular._leaf
+
+        def counting(*args):
+            calls.append(1)
+            return leaf(*args)
+
+        monkeypatch.setattr(unimodular, "_leaf", counting)
+        canonical_form(_generic_simplex(6, 0))
+        assert 0 < len(calls) <= 504
+
+    def test_identity_ends_the_search(self, monkeypatch):
+        # the first ordering of the unit simplex gives the identity, which
+        # no form is below, so every other ordering is cut: one walk from
+        # each of the 7 roots, and 4 more down the first path
+        calls = []
+        walk = unimodular._walk
+
+        def counting(*args):
+            calls.append(1)
+            return walk(*args)
+
+        monkeypatch.setattr(unimodular, "_walk", counting)
+        canonical_form(_unit_simplex(6))
+        assert len(calls) == 7 + 4
 
     def test_generic_d6(self):
         for seed in range(3):
