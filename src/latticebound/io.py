@@ -17,7 +17,7 @@ from functools import partial
 from .geometry import (DegeneracyError, LatticeSimplex, _cached, _frozen,
                        interior_points, volume)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ParseError(ValueError):

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from math import inf
-from operator import index
+from operator import index, mul
 
 from .exact import _hnf_column, _xgcd, det, hnf, identity, mat_vec
-from .geometry import LatticeSimplex, _cached, _frozen
+from .geometry import (LatticeSimplex, _cached, _edge_adjugate, _frozen,
+                       check)
 
 
 @_frozen
@@ -43,7 +44,9 @@ def apply(phi: AffineUnimodular, s: LatticeSimplex) -> LatticeSimplex:
 
 @_frozen
 class CanonicalForm:
-    """Complete invariant under affine unimodular equivalence."""
+    """Complete invariant under affine unimodular equivalence: the
+    least HNF of the edge matrix over the class-respecting orderings of
+    the vertices (every ordering at d <= 2), see ``canonical_form``."""
 
     matrix: tuple[tuple[int, ...], ...]
 
@@ -74,43 +77,45 @@ def _pivot_row(rows, j):
 
 def _tables(h):
     """The column eliminations of the d×d edge matrix h (d >= 2) that its
-    orderings share.
+    orderings share, as two functions built on first use and kept.
 
     A set S of columns is a bitmask.  Eliminating the columns of S, in
     any order, leaves below the pivots a basis of the row lattice of h
-    cut by {y_S = 0}, which depends on S only: ``level`` keeps one such
-    basis per set.  So the pivot row that column j gives after S is
-    computed once: ``pivots[S][j]`` for |S| <= d-3.  Only the first j to
-    reach the set S ∪ {j} needs the rows below its pivot, and gets them
-    from one ``_hnf_column`` step; every other (S, j) builds its pivot
-    row alone (``_pivot_row``), the same row that step would leave.  For
-    |S| = d-2, with a, b the two columns left, ``ends[S][a]`` is
+    cut by {y_S = 0}, which depends on S only: ``below`` keeps the first
+    such basis built.  So ``pivot(S, j)``, the pivot row that column j
+    gives after S, is computed once per (S, j).  When S ∪ {j} has no
+    basis yet it comes from one ``_hnf_column`` step, which leaves that
+    basis too; otherwise the pivot row is built alone (``_pivot_row``),
+    the same row that step would leave.  ``pivot(S, j)`` needs the basis
+    of S, which the calls along any path to S have built.  For
+    |S| = d-2, with a, b the two columns left, ``end(S, a, b)`` is
     (p, x, q), where [[p, x], [0, q]] is the ``hnf`` of those two
     columns, a first.
     """
-    d = len(h)
-    pivots, ends, level = {}, {}, {0: h}
-    for _ in range(d - 2):
-        below = {}
-        for S, rows in level.items():
-            pivots[S] = out = {}
-            for j in range(d):
-                if S >> j & 1:
-                    continue
-                if S | 1 << j in below:
-                    out[j] = _pivot_row(rows, j)
-                else:
-                    m = rows[:]
-                    _hnf_column(m, j, 0)
-                    out[j] = m[0]
-                    below[S | 1 << j] = m[1:]
-        level = below
-    for S, (r, t) in level.items():
-        a, b = [j for j in range(d) if not S >> j & 1]
-        (p, x), (_, q) = hnf([[r[a], r[b]], [t[a], t[b]]])
-        (p1, x1), (_, q1) = hnf([[r[b], r[a]], [t[b], t[a]]])
-        ends[S] = {a: (p, x, q), b: (p1, x1, q1)}
-    return pivots, ends
+    below, pivots, ends = {0: h}, {}, {}
+
+    def pivot(S, j):
+        row = pivots.get((S, j))
+        if row is None:
+            rows, T = below[S], S | 1 << j
+            if T in below:
+                row = _pivot_row(rows, j)
+            else:
+                m = rows[:]
+                _hnf_column(m, j, 0)
+                row, below[T] = m[0], m[1:]
+            pivots[S, j] = row
+        return row
+
+    def end(S, a, b):
+        e = ends.get((S, a))
+        if e is None:
+            r, t = below[S]
+            (p, x), (_, q) = hnf([[r[a], r[b]], [t[a], t[b]]])
+            ends[S, a] = e = p, x, q
+        return e
+
+    return pivot, end
 
 
 def _step(upper, pivot, j):
@@ -170,80 +175,139 @@ def _bound(rows):
     return first
 
 
-def _walk(e, r, node, S, free, pivots, ends, best):
-    """The least of ``best`` and the forms of every order of the columns
-    ``free`` after the eliminated set S.  A form is a pair (rows,
-    ``_bound(rows)``), its rows without their leading zeros, which
-    compare like the flattened forms.
+def _walk(e, r, node, S, free, cls, pivot, end, best):
+    """The least of ``best`` and the forms of the class-respecting orders
+    of the columns ``free`` after the eliminated set S: the columns of
+    the least class among them first, in any order, then the next class.
+    ``free`` is sorted by ``cls``, the invariant of each column's vertex.
+    A form is a pair (rows, ``_bound(rows)``), its rows without their
+    leading zeros, which compare like the flattened forms.
 
     A branch and bound on row 0, which is compared first and depends only
     on the pivot rows along the path: ``r`` is row 0 reduced by each of
     them (None before the first) and ``e`` its entries in the eliminated
     columns, which are final.  A child whose entries are not below the
     bound is cut with all its orders.  A leaf finishes row 0 from
-    ``ends`` and builds its rows with ``_leaf`` only when that row is
+    ``end`` and builds its rows with ``_leaf`` only when that row is
     below the bound; the rows above the pivots come from ``_rows(node)``,
     so each node's ``_step`` runs at most once, for the first leaf below
     it that needs it.
     """
     if len(free) == 2:
-        for a, b in (free, free[::-1]):
-            p, x, q = end = ends[S][a]
+        a, b = free
+        for a, b in ((a, b), (b, a)) if cls[a] == cls[b] else ((a, b),):
+            p, x, q = last = end(S, a, b)
             u = r[a]
             if e + (u % p, (r[b] - u // p * x) % q) < best[1]:
-                rows = _leaf(_rows(node), end, a, b)
+                rows = _leaf(_rows(node), last, a, b)
                 if rows < best[0]:
                     best = rows, _bound(rows)
         return best
+    least = cls[free[0]]
     for j in free:
-        pivot = pivots[S][j]
+        if cls[j] != least:
+            break
+        pj = pivot(S, j)
         if r is None:
-            rj = pivot
+            rj = pj
         else:
-            q = r[j] // pivot[j]
-            rj = [y - q * z for y, z in zip(r, pivot)] if q else r
+            q = r[j] // pj[j]
+            rj = [y - q * z for y, z in zip(r, pj)] if q else r
         ej = e + (rj[j],)
         if ej < best[1]:
-            best = _walk(ej, rj, [None, node, pivot, j], S | 1 << j,
-                         [c for c in free if c != j], pivots, ends, best)
+            best = _walk(ej, rj, [None, node, pj, j], S | 1 << j,
+                         [c for c in free if c != j], cls, pivot, end,
+                         best)
     return best
 
 
-def canonical_form(s: LatticeSimplex) -> CanonicalForm:
-    """Minimal HNF over all (base vertex, ordering) choices.
+def _invariants(s: LatticeSimplex) -> list[tuple]:
+    """A unimodular invariant of each vertex, read off adj E.
 
-    Basing the edge matrix at each candidate vertex quotients out
-    translations; HNF quotients the left unimodular action; minimizing
-    over all (d+1)! orderings quotients vertex relabelling.  At d >= 3
-    each base's orderings share their column eliminations through
-    ``_tables``: the pivot row of column j after a set S of columns is
-    computed once per (S, j), whatever order S was eliminated in, and
-    ``hnf`` runs once per (S, order) on the 2×2 block that the last two
-    columns leave, (d+1)·d·(d-1) times per form.  ``_walk`` then searches
-    the d! orderings of each base by branch and bound on the form's first
-    row, against the least form so far: it reduces row 0 alone along each
+    With V = |det E|, a lattice translation x has barycentric
+    coordinates w(x)/V, where (w_1, ..., w_d) = sign(det E)·adj E·x and
+    w_0 = -(w_1 + ... + w_d).  Over Z^d, w_j takes the values u_j·Z mod
+    V, with u_j = gcd(V, w_j(e_1), ..., w_j(e_d)) the normalized volume
+    of the facet opposite v_j and h_j = V/u_j the lattice height of v_j.
+    An extended-gcd chain gives a translation with w_j ≡ u_j (mod V), and
+    its w is g.  That translation is fixed up to one with w_j ≡ 0, which
+    lies in the facet's lattice and moves every g_i by a multiple of h_j.
+    So vertex j's invariant is (u_j, sorted(g_i mod h_j for i != j)).
+    An affine unimodular map keeps the barycentric coordinates of lattice
+    translations, so it keeps each vertex's invariant.  The factor
+    sign(det E) is left out: without it w(x) reads w(-x), and x -> -x
+    maps Z^d onto itself, so the invariant is the same.
+    """
+    adj, det_e = _edge_adjugate(s)
+    v = abs(det_e)
+    w = [[-sum(col) for col in zip(*adj)], *adj]  # ±w_j(e_k), as w[j][k]
+    out = []
+    for j, wj in enumerate(w):
+        u, c = v, [0] * len(wj)
+        for k, x in enumerate(wj):
+            u, a, b = _xgcd(u, x)
+            c = [a * y % v for y in c]
+            c[k] = b % v
+        check(sum(map(mul, c, wj)) % v == u % v,
+              "extended gcd chain misses the facet volume")
+        h = v // u
+        g = [sum(map(mul, c, wi)) % h for i, wi in enumerate(w) if i != j]
+        out.append((u, tuple(sorted(g))))
+    return out
+
+
+def canonical_form(s: LatticeSimplex) -> CanonicalForm:
+    """Least HNF of the edge matrix over the (base vertex, ordering)
+    choices that respect the vertex classes.
+
+    Basing the edge matrix at a vertex quotients out translations, and
+    HNF quotients the left unimodular action.  At d <= 2 the least HNF
+    over all (d+1)! orderings quotients vertex relabelling; each ordering
+    is one direct ``hnf``.  At d >= 3 the vertices are split into classes
+    by ``_invariants``, which no unimodular map or relabelling changes:
+    the base comes from the least class, and the other columns follow
+    class by class in invariant order, in any order within a class.
+    Equivalent simplices have the same class-respecting orderings, up to
+    the map, so the least HNF over them is again a complete invariant.
+    Each base's orderings share their column eliminations through
+    ``_tables``, built on first use: the pivot row of column j after a
+    set S of columns is computed once per (S, j), whatever order S was
+    eliminated in, and ``hnf`` runs on the 2×2 block that the last two
+    columns leave, once per (S, order) that a walk reaches.  ``_walk``
+    searches the orderings by branch and bound on the form's first row,
+    against the least form so far: it reduces row 0 alone along each
     path, cuts every ordering whose first entries already exceed the
-    minimum's (or equal them, once the minimum's other rows are the least
-    any form can have), and builds the other rows only for the orderings
-    left.  By uniqueness of the HNF the result
-    is the exhaustive minimum.  At d <= 2 each ordering is one direct
-    ``hnf``.  Computed once per simplex.
+    minimum's (or equal them, once the minimum's other rows are the
+    least any form can have), and builds the other rows only for the
+    orderings left.  By
+    uniqueness of the HNF the result is the least over the
+    class-respecting orderings.  Computed once per simplex.
     """
     def compute():
         d, verts = s.dim, s.vertices
-        edges = [[[w[i] - v[i] for w in verts[:b] + verts[b + 1:]]
-                  for i in range(d)] for b, v in enumerate(verts)]
+
+        def edges(b):
+            v = verts[b]
+            return [[w[i] - v[i] for w in verts[:b] + verts[b + 1:]]
+                    for i in range(d)]
+
         # Row lists of one shape compare like their flattened entries.
         if d == 1:
-            form = min(map(hnf, edges))
+            form = min(hnf(edges(b)) for b in range(2))
         elif d == 2:
-            form = min(f for h in edges
+            form = min(f for h in map(edges, range(3))
                        for f in (hnf(h), hnf([r[::-1] for r in h])))
         else:
+            keys = _invariants(s)
+            least = min(keys)
             best = [(inf,)], (inf,)  # above every form
-            for h in edges:
-                best = _walk((), None, [[]], 0, list(range(d)),
-                             *_tables(h), best)
+            for b in range(d + 1):
+                if keys[b] != least:
+                    continue
+                cls = keys[:b] + keys[b + 1:]
+                free = sorted(range(d), key=cls.__getitem__)
+                best = _walk((), None, [[]], 0, free, cls,
+                             *_tables(edges(b)), best)
             form = [(0,) * i + row for i, row in enumerate(best[0])]
         return CanonicalForm(tuple(map(tuple, form)))
 

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import latticebound
-from latticebound import LatticeSimplex, format_simplex, zpw_simplex
+from latticebound import (LatticeSimplex, format_simplex, t_simplex,
+                          zpw_simplex)
 from latticebound.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION,
                               _read_simplices, main)
 
@@ -99,7 +100,7 @@ class TestBound:
                            stdin=S32, capsys=capsys, monkeypatch=monkeypatch)
         assert code == EXIT_OK
         payload = json.loads(out)
-        assert payload["schemaVersion"] == 1
+        assert payload["schemaVersion"] == 2
         assert payload["bound"] == "18" and payload["tight"] is True
         assert payload["betas"] == ["1/6", "1/2", "1/3"]
 
@@ -159,6 +160,12 @@ class TestCanon:
         _, out2, _ = run(["canon"], stdin=shifted, capsys=capsys,
                          monkeypatch=monkeypatch)
         assert out1 == out2 and out1.strip()
+
+    def test_t_simplex_9(self, capsys, monkeypatch):
+        # T_9 has a class per vertex, so one ordering of 10! is walked
+        code, out, _ = run(["canon"], stdin=format_simplex(t_simplex(9)),
+                           capsys=capsys, monkeypatch=monkeypatch)
+        assert code == EXIT_OK and len(out.split()) == 81
 
 
 class TestSurvey2d:
@@ -235,7 +242,7 @@ class TestIngestReport:
         )
         payload = json.loads(out)
         assert code == EXIT_OK
-        assert payload["schemaVersion"] == 1
+        assert payload["schemaVersion"] == 2
         assert payload["total"] == 10
         assert len(payload["details"]) == 10
 

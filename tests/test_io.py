@@ -126,7 +126,7 @@ class TestIngest:
 class TestOutlookReport:
     def test_bundled_census_statistics(self, sample_census_path):
         report = outlook_report(ingest_census(sample_census_path, 2))
-        assert report["schemaVersion"] == 1
+        assert report["schemaVersion"] == 2
         assert report["total"] == 10
         assert report["inSk1"] == 7
         assert report["nuExceeds"] == 4
@@ -166,9 +166,10 @@ class TestOutlookReport:
         assert forks_for(census, "64", lambda: 64, monkeypatch) == 2
 
     def test_each_fact_computed_once(self, sample_census_path, monkeypatch):
-        # one canonical form (24 HNFs at d=3) per record, shared by ingest
-        # and report; interior points once per record, each facet's relint
-        # points once, one box enumeration per record with a facet bound
+        # one canonical form per record, shared by ingest and report: the
+        # HNFs of each record's form computed once on a fresh copy;
+        # interior points once per record, each facet's relint points
+        # once, one box enumeration per record with a facet bound
         from latticebound import bounds, geometry, unimodular
 
         monkeypatch.delenv("LATTICEBOUND_THREADS", raising=False)
@@ -186,9 +187,13 @@ class TestOutlookReport:
         monkeypatch.setattr(bounds, "integer_points", points)
         monkeypatch.setattr(unimodular, "hnf",
                             counting("hnf", unimodular.hnf))
-        report = outlook_report(ingest_census(sample_census_path, 2))
+        records = ingest_census(sample_census_path, 2)
+        report = outlook_report(records)
         assert report["total"] == 10
-        assert calls["hnf"] == 240
+        once = calls["hnf"]
+        for s in records:
+            unimodular.canonical_form(LatticeSimplex(s.vertices))
+        assert 0 < once == calls["hnf"] - once
         assert calls["integer_points"] <= 64
 
     def test_vdc_reuses_the_proof_trace_box(self, sample_census_path,
