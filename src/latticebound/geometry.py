@@ -262,6 +262,8 @@ class LatticeSimplex:
         if not verts:
             raise DegeneracyError("no vertices")
         d = len(verts[0])
+        if d < 1:
+            raise DegeneracyError("need d >= 1")
         if len(verts) != d + 1 or any(len(v) != d for v in verts):
             raise DegeneracyError(
                 f"expected {d + 1} vertices of dimension {d}"

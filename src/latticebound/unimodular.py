@@ -32,8 +32,8 @@ class AffineUnimodular:
         return len(self.t)
 
     def __call__(self, point):
-        img = mat_vec([list(r) for r in self.u], list(point))
-        return tuple(int(a + b) for a, b in zip(img, self.t))
+        img = mat_vec(self.u, list(map(index, point)))
+        return tuple(a + b for a, b in zip(img, self.t))
 
 
 def apply(phi: AffineUnimodular, s: LatticeSimplex) -> LatticeSimplex:
@@ -58,23 +58,6 @@ class CanonicalForm:
         return tuple(x for row in self.matrix for x in row)
 
 
-def _pivot_row(rows, j):
-    """The pivot row that ``_hnf_column(rows, j, 0)`` leaves, without the
-    rows below it: the extended-gcd chain down column j builds one row per
-    entry the running pivot does not divide."""
-    pivot = None
-    for r in rows:
-        c = r[j]
-        if not c:
-            continue
-        if pivot is None:
-            pivot = r
-        elif c % pivot[j]:
-            _, s, t = _xgcd(pivot[j], c)
-            pivot = [s * x + t * y for x, y in zip(pivot, r)]
-    return pivot if pivot[j] > 0 else [-x for x in pivot]
-
-
 def _tables(h):
     """The column eliminations of the d×d edge matrix h (d >= 2) that its
     orderings share, as two functions built on first use and kept.
@@ -83,28 +66,22 @@ def _tables(h):
     any order, leaves below the pivots a basis of the row lattice of h
     cut by {y_S = 0}, which depends on S only: ``below`` keeps the first
     such basis built.  So ``pivot(S, j)``, the pivot row that column j
-    gives after S, is computed once per (S, j).  When S ∪ {j} has no
-    basis yet it comes from one ``_hnf_column`` step, which leaves that
-    basis too; otherwise the pivot row is built alone (``_pivot_row``),
-    the same row that step would leave.  ``pivot(S, j)`` needs the basis
-    of S, which the calls along any path to S have built.  For
-    |S| = d-2, with a, b the two columns left, ``end(S, a, b)`` is
-    (p, x, q), where [[p, x], [0, q]] is the ``hnf`` of those two
-    columns, a first.
+    gives after S, is one ``_hnf_column`` step on that basis, run once
+    per (S, j); the basis it leaves is kept for S ∪ {j} unless one is
+    there already.  ``pivot(S, j)`` needs the basis of S, which the calls
+    along any path to S have built.  For |S| = d-2, with a, b the two
+    columns left, ``end(S, a, b)`` is (p, x, q), where [[p, x], [0, q]]
+    is the ``hnf`` of those two columns, a first.
     """
     below, pivots, ends = {0: h}, {}, {}
 
     def pivot(S, j):
         row = pivots.get((S, j))
         if row is None:
-            rows, T = below[S], S | 1 << j
-            if T in below:
-                row = _pivot_row(rows, j)
-            else:
-                m = rows[:]
-                _hnf_column(m, j, 0)
-                row, below[T] = m[0], m[1:]
-            pivots[S, j] = row
+            m = below[S][:]
+            _hnf_column(m, j, 0)
+            row = pivots[S, j] = m[0]
+            below.setdefault(S | 1 << j, m[1:])
         return row
 
     def end(S, a, b):
@@ -137,14 +114,6 @@ def _step(upper, pivot, j):
     return out
 
 
-def _rows(node):
-    """The ``_step`` rows of the pivots on the path to ``node``, a list
-    [rows, parent, pivot, j] whose rows are built on first use and kept."""
-    if node[0] is None:
-        node[0] = _step(_rows(node[1]), node[2], node[3])
-    return node[0]
-
-
 def _leaf(upper, end, a, b):
     """The form's rows, without their leading zeros, when the last two
     columns are a then b: the last two entries of each row in ``upper``
@@ -175,31 +144,29 @@ def _bound(rows):
     return first
 
 
-def _walk(e, r, node, S, free, cls, pivot, end, best):
+def _walk(upper, S, free, cls, pivot, end, best):
     """The least of ``best`` and the forms of the class-respecting orders
-    of the columns ``free`` after the eliminated set S: the columns of
-    the least class among them first, in any order, then the next class.
-    ``free`` is sorted by ``cls``, the invariant of each column's vertex.
-    A form is a pair (rows, ``_bound(rows)``), its rows without their
-    leading zeros, which compare like the flattened forms.
+    of the columns ``free`` after the eliminated set S, whose ``_step``
+    rows are ``upper``: the columns of the least class among them first,
+    in any order, then the next class.  ``free`` is sorted by ``cls``,
+    the invariant of each column's vertex.  A form is a pair (rows,
+    ``_bound(rows)``), its rows without their leading zeros, which
+    compare like the flattened forms.
 
-    A branch and bound on row 0, which is compared first and depends only
-    on the pivot rows along the path: ``r`` is row 0 reduced by each of
-    them (None before the first) and ``e`` its entries in the eliminated
-    columns, which are final.  A child whose entries are not below the
-    bound is cut with all its orders.  A leaf finishes row 0 from
-    ``end`` and builds its rows with ``_leaf`` only when that row is
-    below the bound; the rows above the pivots come from ``_rows(node)``,
-    so each node's ``_step`` runs at most once, for the first leaf below
-    it that needs it.
+    A branch and bound on row 0, which is compared first: its entries in
+    the eliminated columns are final, so a child whose row 0 entries are
+    not below the bound is cut with all its orders.  A leaf finishes row
+    0 from ``end`` and builds its rows with ``_leaf`` only when that row
+    is below the bound.
     """
     if len(free) == 2:
         a, b = free
+        e, r = upper[0]
         for a, b in ((a, b), (b, a)) if cls[a] == cls[b] else ((a, b),):
             p, x, q = last = end(S, a, b)
             u = r[a]
             if e + (u % p, (r[b] - u // p * x) % q) < best[1]:
-                rows = _leaf(_rows(node), last, a, b)
+                rows = _leaf(upper, last, a, b)
                 if rows < best[0]:
                     best = rows, _bound(rows)
         return best
@@ -207,17 +174,10 @@ def _walk(e, r, node, S, free, cls, pivot, end, best):
     for j in free:
         if cls[j] != least:
             break
-        pj = pivot(S, j)
-        if r is None:
-            rj = pj
-        else:
-            q = r[j] // pj[j]
-            rj = [y - q * z for y, z in zip(r, pj)] if q else r
-        ej = e + (rj[j],)
-        if ej < best[1]:
-            best = _walk(ej, rj, [None, node, pj, j], S | 1 << j,
-                         [c for c in free if c != j], cls, pivot, end,
-                         best)
+        child = _step(upper, pivot(S, j), j)
+        if child[0][0] < best[1]:
+            best = _walk(child, S | 1 << j, [c for c in free if c != j],
+                         cls, pivot, end, best)
     return best
 
 
@@ -275,13 +235,13 @@ def canonical_form(s: LatticeSimplex) -> CanonicalForm:
     eliminated in, and ``hnf`` runs on the 2×2 block that the last two
     columns leave, once per (S, order) that a walk reaches.  ``_walk``
     searches the orderings by branch and bound on the form's first row,
-    against the least form so far: it reduces row 0 alone along each
-    path, cuts every ordering whose first entries already exceed the
-    minimum's (or equal them, once the minimum's other rows are the
-    least any form can have), and builds the other rows only for the
-    orderings left.  By
-    uniqueness of the HNF the result is the least over the
-    class-respecting orderings.  Computed once per simplex.
+    against the least form so far: it reduces the pivot rows of each
+    path by the next pivot as it goes, cuts every ordering whose first
+    entries already exceed the minimum's (or equal them, once the
+    minimum's other rows are the least any form can have), and finishes
+    the rows with ``_leaf`` only for the orderings left.  By uniqueness
+    of the HNF the result is the least over the class-respecting
+    orderings.  Computed once per simplex.
     """
     def compute():
         d, verts = s.dim, s.vertices
@@ -306,8 +266,7 @@ def canonical_form(s: LatticeSimplex) -> CanonicalForm:
                     continue
                 cls = keys[:b] + keys[b + 1:]
                 free = sorted(range(d), key=cls.__getitem__)
-                best = _walk((), None, [[]], 0, free, cls,
-                             *_tables(edges(b)), best)
+                best = _walk([], 0, free, cls, *_tables(edges(b)), best)
             form = [(0,) * i + row for i, row in enumerate(best[0])]
         return CanonicalForm(tuple(map(tuple, form)))
 

@@ -57,6 +57,11 @@ class TestVolume:
         with pytest.raises(DegeneracyError):
             LatticeSimplex([(0, 0), (1, 1), (2, 2)])
 
+    def test_zero_dimension(self):
+        # one vertex of no coordinates: refused before any elimination
+        with pytest.raises(DegeneracyError, match="need d >= 1"):
+            LatticeSimplex([()])
+
     def test_reads_the_determinant_computed_at_construction(self, monkeypatch):
         s = LatticeSimplex([(0, 0, 0), (2, 1, 0), (0, 3, 1), (1, 0, 5)])
 

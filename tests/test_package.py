@@ -301,7 +301,12 @@ def test_post_init_still_validates():
     (lambda: LatticePolygon([(0, 0), ("3", 0), (0, 3)]), TypeError),
     (lambda: AffineUnimodular(((1.0, 0), (0, 1)), (0, 0)), TypeError),
     (lambda: Lattice(((0.1, 0), (0, 1))), LinAlgError),
-], ids=["LatticeSimplex", "LatticePolygon", "AffineUnimodular", "Lattice"])
+    (lambda: AffineUnimodular(((1, 0), (0, 1)), (0, 0))((0.5, 0)),
+     TypeError),
+    (lambda: AffineUnimodular(((1, 0), (0, 1)), (0, 0))((F(1, 2), 3)),
+     TypeError),
+], ids=["LatticeSimplex", "LatticePolygon", "AffineUnimodular", "Lattice",
+        "AffineUnimodular-call-float", "AffineUnimodular-call-fraction"])
 def test_non_integer_input_is_refused_not_converted(make, error):
     with pytest.raises(error):
         make()

@@ -398,21 +398,58 @@ class TestSharedPrefixForm:
     def test_leaf_finish_matches_oracle(self, m, data):
         # the pivot rows of any d-2 columns, taken in any order, and the
         # 2x2 leaf give the hnf of m with its columns in that order, the
-        # last two in either order; the tables are built on first use
+        # last two in either order; the tables are built on first use,
+        # and the second order reaches sets whose basis the first built
         assume(det(m) != 0)
         d = len(m)
-        order = data.draw(st.permutations(range(d)))
         pivot, end = unimodular._tables(m)
-        upper, S = [], 0
-        for j in order[:-2]:
-            upper = unimodular._step(upper, pivot(S, j), j)
-            S |= 1 << j
-        a, b = order[-2:]
-        for last in ([a, b], [b, a]):
-            cols = order[:-2] + last
-            rows = unimodular._leaf(upper, end(S, *last), *last)
-            assert [[0] * i + list(r) for i, r in enumerate(rows)] == (
-                hnf_oracle.hnf([[r[c] for c in cols] for r in m]))
+        for _ in range(2):
+            order = data.draw(st.permutations(range(d)))
+            upper, S = [], 0
+            for j in order[:-2]:
+                upper = unimodular._step(upper, pivot(S, j), j)
+                S |= 1 << j
+            a, b = order[-2:]
+            for last in ([a, b], [b, a]):
+                cols = order[:-2] + last
+                rows = unimodular._leaf(upper, end(S, *last), *last)
+                assert [[0] * i + list(r) for i, r in enumerate(rows)] == (
+                    hnf_oracle.hnf([[r[c] for c in cols] for r in m]))
+
+    def test_one_class_shares_each_step(self, monkeypatch):
+        # 2·Δ_6 is one class and every form of it is 2I, so the walk
+        # reaches every (S, j) with |S| <= 3 from each of the 7 bases:
+        # one column step per (S, j), 156 of them, and one 2x2 hnf per
+        # (S, first of the last two), 30 of them
+        calls = {"column": 0, "hnf": 0}
+        column = unimodular._hnf_column
+
+        def counting_column(*args):
+            calls["column"] += 1
+            return column(*args)
+
+        def counting_hnf(m):
+            calls["hnf"] += 1
+            return hnf(m)
+
+        monkeypatch.setattr(unimodular, "_hnf_column", counting_column)
+        monkeypatch.setattr(unimodular, "hnf", counting_hnf)
+        s = LatticeSimplex([tuple(2 * x for x in v)
+                            for v in _unit_simplex(6).vertices])
+        assert _form(s) == [[2 * (i == j) for j in range(6)]
+                            for i in range(6)]
+        assert calls == {"column": 7 * 156, "hnf": 7 * 30}
+
+    def test_one_class_d5(self):
+        # 2·Δ_5 and conv(e_1, ..., e_5, -Σe_i) are one class, and the walk
+        # finishes and builds all 720 orderings of each
+        double = LatticeSimplex([tuple(2 * x for x in v)
+                                 for v in _unit_simplex(5).vertices])
+        cross = LatticeSimplex([*_unit_simplex(5).vertices[1:], (-1,) * 5])
+        for s in (double, cross):
+            assert len(set(unimodular._invariants(s))) == 1
+            assert _work(s) == (720, 720)
+            assert _form(s) == _exhaustive_form(s)
 
     def test_memory_stays_flat(self):
         # a running minimum, not a list of all 5040 forms
