@@ -12,8 +12,7 @@ _EXPORTS = {
         "ApplicabilityError", "EqualityCertificate", "FacetBoundResult",
         "Lattice", "PikhurkoResult", "ProofTrace", "VdcResult",
         "best_facet_bound", "equality_certificate", "facet_bound",
-        "general_pk_bound", "pikhurko", "proof_trace", "qualifying_facets",
-        "tau", "vdc_check",
+        "general_pk_bound", "pikhurko", "proof_trace", "tau", "vdc_check",
     ),
     "constructions": (
         "exceptional_p31", "inscribed_cube_scale", "lift", "sylvester",
@@ -24,7 +23,8 @@ _EXPORTS = {
         "DegeneracyError", "EnumerationError", "Face", "HalfspaceSystem",
         "HullMembershipError", "LatticePolygon", "LatticeSimplex",
         "VerificationError", "barycentric", "collinear", "facets", "hrep",
-        "interior_points", "polygon_counts", "relint_points", "volume",
+        "interior_points", "polygon_counts", "qualifying_facets",
+        "relint_points", "volume",
     ),
     "io": (
         "DataIntegrityError", "ParseError", "SimplexRecord", "format_simplex",
@@ -43,6 +43,7 @@ _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
 
 __all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+SCHEMA_VERSION = 2  # of the JSON payloads, as their "schemaVersion"
 
 
 def __getattr__(name):

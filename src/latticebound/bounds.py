@@ -5,7 +5,9 @@ relative-interior lattice point, the per-interior-point bound and its
 minimum nu, the barycentric product functional tau, the symmetric-box
 lattice-point inequality check, and the full proof trace (map to the
 standard simplex, image lattice, symmetric box, half-space split) that
-witnesses why the facet bound holds instance by instance.
+witnesses why the facet bound holds instance by instance.  The facets
+the facet bound applies through are found by ``geometry.qualifying_facets``,
+imported here so that ``bounds.qualifying_facets`` names it too.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from .geometry import (
     barycentric,
     check,
     collinear,
-    facets,
     hrep,
     integer_points,
     interior_points,
+    qualifying_facets,
     relint_points,
     volume,
 )
@@ -159,15 +161,6 @@ def facet_bound(s: LatticeSimplex, f: Face) -> FacetBoundResult:
     vol = volume(s)
     check(vol <= bound, "volume exceeds the facet bound")
     return FacetBoundResult(f, x, betas, bound, vol == bound)
-
-
-def qualifying_facets(s: LatticeSimplex) -> list[Face]:
-    """Facets with exactly one relative-interior lattice point."""
-    out = []
-    for f in facets(s):
-        if len(relint_points(f, limit=1)) == 1:
-            out.append(f)
-    return out
 
 
 def best_facet_bound(s: LatticeSimplex) -> FacetBoundResult:

@@ -10,20 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import SCHEMA_VERSION
+from .exact import _rat
 from .geometry import (Face, LatticeSimplex, facets, interior_points,
                        relint_points, volume)
-from .io import (
-    SCHEMA_VERSION,
-    ParseError,
-    _rat,
-    facet_bound_payload,
-    format_census,
-    format_simplex,
-    ingest_census,
-    outlook_report,
-    parse_simplices,
-    vdc_payload,
-)
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -61,6 +51,8 @@ def _int_in_range(low, high=None):
 
 
 def _read_simplices(path) -> list[LatticeSimplex]:
+    from .io import ParseError, parse_simplices
+
     if path in (None, "-"):
         text = sys.stdin.read()
     else:
@@ -96,6 +88,7 @@ def _emit(payload, as_json):
 
 def cmd_construct(args):
     from .constructions import exceptional_p31, lift, t_simplex, zpw_simplex
+    from .io import format_simplex
 
     if args.what == "zpw":
         s = zpw_simplex(args.dim, args.k)
@@ -123,6 +116,7 @@ def cmd_count(args):
 
 def cmd_bound(args):
     from .bounds import facet_bound, pikhurko, proof_trace, tau
+    from .io import facet_bound_payload, vdc_payload
 
     ok = True
     for s in _read_simplices(args.input):
@@ -199,6 +193,8 @@ def cmd_survey2d(args):
         }
         print(json.dumps(payload, indent=2))
     else:
+        from .io import format_census
+
         sys.stdout.write(
             format_census(census.representatives, census.k, census.search_cap)
         )
@@ -214,12 +210,16 @@ def cmd_verify(args):
 
 
 def cmd_ingest(args):
+    from .io import ingest_census
+
     simplices = ingest_census(args.census, args.k)
     print(f"ok: {len(simplices)} simplices, each with {args.k} interior points")
     return EXIT_OK
 
 
 def cmd_report(args):
+    from .io import ingest_census, outlook_report
+
     census = ingest_census(args.census, args.k)
     report = outlook_report(census)
     if args.json:
@@ -328,12 +328,14 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, ParseError, OSError, UnicodeDecodeError) as exc:
+    except (UsageError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:  # DataIntegrityError, ApplicabilityError, ...
+    except ValueError as exc:  # ParseError, DataIntegrityError, ...
+        from .io import ParseError
+
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+        return EXIT_USAGE if isinstance(exc, ParseError) else EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

@@ -20,6 +20,11 @@ class LinAlgError(ValueError):
     """Dimension mismatch, singularity or rank deficiency."""
 
 
+def _rat(x) -> str:
+    """x as printed: ``p/q``, or ``n`` when integral."""
+    return str(Fraction(x))
+
+
 def _check_square(m):
     n = len(m)
     if n == 0 or any(len(row) != n for row in m):

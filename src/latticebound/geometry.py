@@ -20,6 +20,10 @@ is divided by the gcd of its coefficients with the right-hand side
 floored, an equality is substituted rather than paired, and the bounds
 of each coordinate are floor divisions, so neither the elimination nor
 the sweep does ``Fraction`` arithmetic.
+
+``qualifying_facets``, the facets with exactly one relative-interior
+lattice point, lives here as a face query: ``bounds`` re-exports it, and
+``survey`` filters by it without loading ``bounds``.
 """
 
 from __future__ import annotations
@@ -140,6 +144,12 @@ def _eliminate_last(system):
     return out
 
 
+def _check_limit(limit):
+    """A ``limit`` is None or an int >= 0 (a float raises TypeError)."""
+    if limit is not None and index(limit) < 0:
+        raise ValueError("limit must be >= 0")
+
+
 def integer_points(rows, nvars, limit=None):
     """All integer solutions of the system, in lexicographic order.
 
@@ -147,17 +157,18 @@ def integer_points(rows, nvars, limit=None):
     gcd-reduced with the rhs floored) and the sweep bounds are integer
     floor divisions.  ``limit``: stop as soon as more than ``limit`` points
     were found and return the truncated list (used for early-exit
-    counting).  Raises ``EnumerationError`` when the sweep meets a
-    coordinate without a lower or an upper bound, which it always does on
-    an unbounded region with an integer point.
+    counting); it must be an int >= 0.  Raises ``EnumerationError`` when
+    the sweep meets a coordinate without a lower or an upper bound, which
+    it always does on an unbounded region with an integer point.
     """
+    _check_limit(limit)
     systems = [_system(rows)]
-    if nvars == 0:
-        return [()]
     while len(systems) < nvars and systems[-1] is not None:
         systems.append(_eliminate_last(systems[-1]))
     if systems[-1] is None:
         return []
+    if nvars == 0:
+        return [()]
     # levels[v]: rows bounding x_v given x_0..x_{v-1}, split by the sign
     # of the x_v coefficient: (prefix coeffs, rhs[, |coefficient|]).
     levels = []
@@ -398,6 +409,7 @@ def _cached(s, key, compute, limit=None):
     ``limit`` is kept only when complete, and answers any ``limit`` with
     its first limit + 1 points.  Lists are returned as new lists.
     """
+    _check_limit(limit)
     facts = s.__dict__.setdefault("_facts", {})
     if key not in facts:
         value = compute()
@@ -460,6 +472,7 @@ def relint_points(f: Face, limit=None) -> list[tuple[int, ...]]:
     once per face.
     """
     if f.dim == 0:
+        _check_limit(limit)
         return [tuple(f.vertices[0])]
 
     def compute():
@@ -474,6 +487,12 @@ def relint_points(f: Face, limit=None) -> list[tuple[int, ...]]:
         return integer_points(rows, f.parent.dim, limit=limit)
 
     return _cached(f.parent, ("relint", f.vertex_indices), compute, limit)
+
+
+def qualifying_facets(s: LatticeSimplex) -> list[Face]:
+    """Facets with exactly one relative-interior lattice point: those
+    through which ``bounds.facet_bound`` applies."""
+    return [f for f in facets(s) if len(relint_points(f, limit=1)) == 1]
 
 
 def collinear(points) -> bool:

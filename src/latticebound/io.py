@@ -14,10 +14,10 @@ import os
 from fractions import Fraction
 from functools import partial
 
+from . import SCHEMA_VERSION
+from .exact import _rat
 from .geometry import (DegeneracyError, LatticeSimplex, _cached, _frozen,
                        interior_points, volume)
-
-SCHEMA_VERSION = 2
 
 
 class ParseError(ValueError):
@@ -137,10 +137,6 @@ def ingest_census(path, expected_k: int) -> list[LatticeSimplex]:
         seen[key] = name
         simplices.append(s)
     return simplices
-
-
-def _rat(x) -> str:
-    return str(Fraction(x))
 
 
 def facet_bound_payload(fb, volume=None) -> dict:
@@ -284,9 +280,8 @@ def outlook_report(census) -> dict:
     per-interior-point bound strictly exceeds vol(S_{3,2}) = 18."""
     # Imported here, before fork_map forks, so the workers inherit them.
     from . import bounds, unimodular  # noqa: F401
-    from .constructions import zpw_simplex
 
-    threshold = volume(zpw_simplex(3, 2))
+    threshold = Fraction(18)  # vol(S_{3,2}) = vol(zpw_simplex(3, 2))
     details = fork_map(partial(analyze_simplex, threshold=threshold), census)
     details.sort(key=lambda d: d["canonical"])
     return {

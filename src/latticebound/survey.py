@@ -11,9 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .bounds import qualifying_facets
-from .constructions import zpw_simplex
-from .geometry import LatticeSimplex, _frozen, check, interior_points, volume
+from .geometry import (LatticeSimplex, _frozen, check, interior_points,
+                       qualifying_facets, volume)
 from .unimodular import canonical_form, equivalent
 
 
@@ -98,6 +97,8 @@ def verify_theorem_main_2d(k: int, cap: int | None = None) -> dict:
     with exactly one relative-interior lattice point."""
     if k > 3:
         raise ValueError("desk-scale verification is limited to k <= 3")
+    from .constructions import zpw_simplex
+
     census = enumerate_triangles(k, cap)
     filtered = filter_one_relint_facet(census)
     expected = zpw_simplex(2, k)

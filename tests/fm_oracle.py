@@ -58,7 +58,8 @@ def integer_points(rows, nvars, limit=None):
         for a, b, strict in rows
     ]
     if nvars == 0:
-        return [()]
+        holds = all(0 < b if strict else 0 <= b for _, b, strict in rows)
+        return [()] if holds else []
     systems = [None] * (nvars + 1)
     systems[nvars] = rows
     for v in range(nvars, 1, -1):

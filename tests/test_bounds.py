@@ -78,6 +78,12 @@ class TestQualifyingFacets:
         # the bottom edge and the slanted edge both have one relint point
         assert (0, 1) in idx
 
+    def test_is_the_geometry_face_query(self):
+        from latticebound import bounds, geometry
+
+        assert bounds.qualifying_facets is geometry.qualifying_facets
+        assert qualifying_facets is geometry.qualifying_facets
+
     def test_unit_simplex_none(self):
         s = LatticeSimplex([(0, 0), (1, 0), (0, 1)])
         assert qualifying_facets(s) == []
@@ -198,6 +204,13 @@ class TestLattice:
             lat.points_in_open_box([1])
         with pytest.raises(ValueError):
             lat.points_in_open_box([1, 0])
+
+    def test_negative_limit_raises(self):
+        lat = Lattice(((1, 0), (0, 1)))
+        for _ in range(2):  # before and after the box's points are kept
+            with pytest.raises(ValueError, match="^limit must be >= 0$"):
+                lat.points_in_open_box([2, 1], limit=-1)
+            assert len(lat.points_in_open_box([2, 1])) == 3
 
     @pytest.mark.parametrize("width", [1.5, "3/2"], ids=["float", "str"])
     def test_non_rational_box_refused(self, width):

@@ -325,16 +325,35 @@ class TestUsage:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "decode" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--census", "FILE", "--k", "2"],
+        ["report", "outlook", "--census", "FILE"],
+    ])
+    def test_malformed_census_is_usage(self, capsys, tmp_path, argv):
+        # the ParseError is raised inside io, which the CLI loads lazily:
+        # in-process and in a fresh interpreter alike it exits 2
+        path = tmp_path / "bad.txt"
+        path.write_text(S32 + "\n3\n0 0 0\n1 0 0\n")
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        expected = "error: line 7: expected 4 vertices for dimension 3, got 2\n"
+        assert run(argv, capsys=capsys) == (EXIT_USAGE, "", expected)
+        proc = python_m_latticebound(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_USAGE, "", expected)
 
-def test_python_dash_m_runs_the_cli(capsys):
+
+def python_m_latticebound(argv):
+    """``python -m latticebound argv`` in a fresh interpreter."""
     src = str(Path(latticebound.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "latticebound", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
     argv = ["construct", "t", "--dim", "2"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "latticebound", *argv],
-        capture_output=True, text=True, env=env,
-    )
+    proc = python_m_latticebound(argv)
     code, out, _ = run(argv, capsys=capsys)
     assert proc.returncode == code == EXIT_OK
     assert proc.stdout == out and proc.stderr == ""

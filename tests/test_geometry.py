@@ -321,6 +321,20 @@ class TestCachedFacts:
         assert interior_points(s, limit=0) == [(1, 1, 1)]
         assert relint_points(bottom) == [(1, 1, 0)]
 
+    def test_limit_must_be_a_non_negative_int(self):
+        s = zpw_simplex(3, 2)
+        edge, vertex = Face(s, (0, 1)), Face(s, (3,))
+        queries = [lambda limit: interior_points(s, limit),
+                   lambda limit: relint_points(edge, limit),
+                   lambda limit: relint_points(vertex, limit)]
+        for _ in range(2):  # before and after the points are kept
+            for query in queries:
+                with pytest.raises(ValueError, match="^limit must be >= 0$"):
+                    query(-1)
+                with pytest.raises(TypeError):
+                    query(0.5)
+                assert len(query(0)) == 1 and query(None)
+
     def test_facts_survive_pickle(self, monkeypatch):
         s = zpw_simplex(3, 2)
         facts = (hrep(s), interior_points(s),

@@ -14,6 +14,7 @@ from latticebound import (
     ingest_census,
     outlook_report,
     parse_simplices,
+    volume,
     zpw_simplex,
 )
 from latticebound import io as lb_io
@@ -130,7 +131,8 @@ class TestOutlookReport:
         assert report["total"] == 10
         assert report["inSk1"] == 7
         assert report["nuExceeds"] == 4
-        assert report["threshold"] == "18"
+        # the threshold is the constant vol(S_{3,2})
+        assert report["threshold"] == "18" == str(volume(zpw_simplex(3, 2)))
 
     def test_detail_content(self, sample_census_path):
         report = outlook_report(ingest_census(sample_census_path, 2))

@@ -80,8 +80,28 @@ def test_unbounded_system_raises(rows, nvars):
 
 
 def test_no_variables():
-    assert integer_points([], 0) == [()]
-    assert integer_points([((), -1, False)], 0) == [()]
+    """With no variables only the constant rows remain: the empty point
+    solves the system iff every one of them holds."""
+    for rows, expected in [
+        ([], [()]),
+        ([((), 0, False)], [()]),
+        ([((), 1, True)], [()]),
+        ([((), -1, False)], []),  # 0 <= -1
+        ([((), 0, True)], []),  # 0 < 0
+        ([((), 1, False), ((), -1, False)], []),
+    ]:
+        assert integer_points(rows, 0) == expected
+        assert fm_oracle.integer_points(rows, 0) == expected
+
+
+@pytest.mark.parametrize("nvars", [0, 1, 2])
+def test_negative_limit_raises(nvars):
+    rows = [((1,) * nvars, 3, False)] + [
+        (tuple(-int(i == j) for j in range(nvars)), 0, False)
+        for i in range(nvars)]
+    assert len(integer_points(rows, nvars, limit=0)) == 1
+    with pytest.raises(ValueError, match="^limit must be >= 0$"):
+        integer_points(rows, nvars, limit=-1)
 
 
 @pytest.mark.parametrize("rows, nvars, expected", [

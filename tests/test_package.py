@@ -56,6 +56,9 @@ out = io.StringIO()
 if sys.argv[1:] == ["--package"]:
     import latticebound
     code = 0
+elif sys.argv[1:] == ["--cli"]:
+    import latticebound.cli
+    code = 0
 else:
     from latticebound.cli import main
     with contextlib.redirect_stdout(out):
@@ -88,6 +91,14 @@ def test_importing_the_package_loads_no_submodule():
     assert not [m for m in modules if m.startswith("latticebound.")]
 
 
+def test_importing_the_cli_loads_only_geometry_and_exact():
+    code, modules, _ = new_modules(["--cli"])
+    assert code == 0
+    assert {m for m in modules if m.startswith("latticebound")} == {
+        "latticebound", "latticebound.cli", "latticebound.geometry",
+        "latticebound.exact"}
+
+
 def census():
     return str(Path(SRC, "latticebound", "data", "sample_census.txt"))
 
@@ -111,6 +122,15 @@ COMMANDS = {
     "report-text": (["report", "outlook", "--census", None, "--k", "2"], ""),
 }
 GOLDEN = Path(__file__).parent / "golden"
+# modules a command never runs, so never loads
+UNLOADED = {
+    "count-interior": {"bounds", "survey"},
+    "canon": {"bounds", "survey"},
+    "survey2d": {"bounds", "io", "constructions"},
+    "verify": {"bounds", "io"},
+    "report": {"constructions"},
+    "report-text": {"constructions"},
+}
 
 
 @pytest.mark.parametrize(
@@ -126,8 +146,7 @@ def test_commands_import_only_what_they_run(name, threads):
     assert out == (GOLDEN / f"{name}.txt").read_bytes()
     assert not modules & {"dataclasses", "inspect"}
     assert not modules & {"concurrent.futures", "multiprocessing"}
-    if name in ("count-interior", "canon"):
-        assert not modules & {"latticebound.bounds", "latticebound.survey"}
+    assert not modules & {f"latticebound.{m}" for m in UNLOADED.get(name, ())}
 
 
 # ---------------------------------------------------------------------------
