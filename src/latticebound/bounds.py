@@ -7,12 +7,16 @@ lattice-point inequality check, and the full proof trace (map to the
 standard simplex, image lattice, symmetric box, half-space split) that
 witnesses why the facet bound holds instance by instance.  The facets
 the facet bound applies through are found by ``geometry.qualifying_facets``,
-imported here so that ``bounds.qualifying_facets`` names it too.
+imported here so that ``bounds.qualifying_facets`` names it too.  The
+facet bound is computed once per facet and kept on the simplex, and the
+proof trace and the equality certificate read their relative-interior
+point and barycentric coordinates from it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, prod
 
 from .exact import det, mat_vec, primitive_direction
@@ -82,13 +86,11 @@ class Lattice:
 
         def compute():
             rows = []
-            for i in range(d):
-                row = tuple(self.basis[i][j] for j in range(d))
-                rows.append((row, betas[i], True))
-                rows.append((tuple(-c for c in row), betas[i], True))
+            for row, b in zip(self.basis, betas):
+                rows.append((row, b, True))
+                rows.append((tuple(-c for c in row), b, True))
             zs = integer_points(rows, d, limit=limit)
-            basis = [list(r) for r in self.basis]
-            return [tuple(mat_vec(basis, list(z))) for z in zs]
+            return [tuple(mat_vec(self.basis, z)) for z in zs]
 
         return _cached(self, ("box", betas), compute, limit)
 
@@ -141,26 +143,26 @@ class EqualityCertificate:
     edge_ok: bool
 
 
-def _unique_relint_point(f: Face):
-    pts = relint_points(f, limit=1)
-    if len(pts) != 1:
-        raise ApplicabilityError(
-            "facet does not have exactly one relative-interior lattice point"
-        )
-    return pts[0]
-
-
 def facet_bound(s: LatticeSimplex, f: Face) -> FacetBoundResult:
-    """Volume bound (k+1)/(d! b_1 ... b_d) through a qualifying facet."""
+    """Volume bound (k+1)/(d! b_1 ... b_d) through a qualifying facet, where
+    b_1..b_d are the barycentric coordinates of its unique
+    relative-interior lattice point; computed once per facet."""
     if f.parent != s or f.dim != s.dim - 1:
         raise ApplicabilityError("face is not a facet of the given simplex")
-    x = _unique_relint_point(f)
-    betas = tuple(barycentric(x, f))
-    k = len(interior_points(s))
-    bound = Fraction(k + 1) / (factorial(s.dim) * prod(betas))
-    vol = volume(s)
-    check(vol <= bound, "volume exceeds the facet bound")
-    return FacetBoundResult(f, x, betas, bound, vol == bound)
+
+    def compute():
+        pts = relint_points(f, limit=1)
+        if len(pts) != 1:
+            raise ApplicabilityError("facet does not have exactly one "
+                                     "relative-interior lattice point")
+        betas = tuple(barycentric(pts[0], f))
+        k = len(interior_points(s))
+        bound = Fraction(k + 1) / (factorial(s.dim) * prod(betas))
+        vol = volume(s)
+        check(vol <= bound, "volume exceeds the facet bound")
+        return FacetBoundResult(f, pts[0], betas, bound, vol == bound)
+
+    return _cached(s, ("bound", f.vertex_indices), compute)
 
 
 def best_facet_bound(s: LatticeSimplex) -> FacetBoundResult:
@@ -188,13 +190,11 @@ def pikhurko(s: LatticeSimplex) -> PikhurkoResult:
     d = s.dim
     full = Face(s, tuple(range(d + 1)))
     per_point = {}
-    nu = None
     for x in pts:
         betas = sorted(barycentric(x, full), reverse=True)
         bound = Fraction(k) / (factorial(d) * prod(betas[:d]))
         per_point[x] = PointBound(tuple(betas), bound)
-        if nu is None or bound < nu:
-            nu = bound
+    nu = min(pb.bound for pb in per_point.values())
     check(volume(s) <= nu, "volume exceeds nu")
     return PikhurkoResult(per_point, nu)
 
@@ -216,9 +216,7 @@ def vdc_check(lat: Lattice, betas) -> VdcResult:
     """
     betas = _half_widths(betas)
     d = lat.dim
-    lhs = Fraction(2) ** d
-    for b in betas:
-        lhs *= b
+    lhs = Fraction(2) ** d * prod(betas)
     pts = lat.points_in_open_box(betas)
     rhs = (len(pts) + 1) * Fraction(2) ** (d - 1) * lat.det
     return VdcResult(lhs, rhs, lhs <= rhs, lhs == rhs, len(pts), tuple(pts))
@@ -232,10 +230,7 @@ def proof_trace(s: LatticeSimplex, f: Face) -> ProofTrace:
     lattice inside the open symmetric box spanned by the barycentric
     coordinates of the facet's unique relative-interior lattice point.
     """
-    if f.parent != s or f.dim != s.dim - 1:
-        raise ApplicabilityError("face is not a facet of the given simplex")
-    x = _unique_relint_point(f)
-    betas = tuple(barycentric(x, f))
+    betas = facet_bound(s, f).betas
     # phi, the inverse of the edge matrix at the vertex v0 opposite the
     # facet, maps x - v0 to the barycentric coordinates of x at the facet
     # vertices.  v0 lies on facet j of hrep for every facet vertex j, so
@@ -258,16 +253,15 @@ def proof_trace(s: LatticeSimplex, f: Face) -> ProofTrace:
           "box points do not split evenly across the hyperplane")
     check(len(h_zero) == 1 and all(c == 0 for c in h_zero[0]),
           "the origin is not the only box point on the hyperplane")
-    b = tuple(betas)
     # Shifting the negative-side points by b lands them strictly inside
     # the standard simplex (positive coordinates, coordinate sum < 1).
     for y in h_minus:
-        shifted = [yc + bc for yc, bc in zip(y, b)]
+        shifted = [yc + bc for yc, bc in zip(y, betas)]
         check(all(c > 0 for c in shifted) and sum(shifted) < 1,
               "a shifted box point is not inside the standard simplex")
     k = len(interior_points(s))
     check(len(y_set) <= 2 * k + 1, "more than 2k+1 box points")
-    return ProofTrace(lat, b, tuple(y_set), len(h_minus), len(h_zero))
+    return ProofTrace(lat, betas, tuple(y_set), len(h_minus), len(h_zero))
 
 
 def equality_certificate(s: LatticeSimplex, f: Face) -> EqualityCertificate:
@@ -288,16 +282,13 @@ def equality_certificate(s: LatticeSimplex, f: Face) -> EqualityCertificate:
     direction = primitive_direction(
         [a - b for a, b in zip(pts[0], fb.relint_point)]
     )
-    parallel_edge = None
     verts = s.vertices
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            edge = [a - b for a, b in zip(verts[j], verts[i])]
-            if primitive_direction(edge) == direction:
-                parallel_edge = (i, j)
-                break
-        if parallel_edge:
-            break
+    parallel_edge = next(
+        ((i, j) for i, j in combinations(range(len(verts)), 2)
+         if primitive_direction(
+             [a - b for a, b in zip(verts[j], verts[i])]) == direction),
+        None,
+    )
     return EqualityCertificate(
         direction, parallel_edge, collinear_ok, parallel_edge is not None
     )

@@ -46,19 +46,20 @@ def scaled(v) -> tuple[list[int], int]:
     return [x.numerator * (m // x.denominator) for x in v], m
 
 
-def _bareiss(a, n, jordan=False) -> int:
-    """Bareiss fraction-free forward elimination, in place.
+def _bareiss(a, n) -> int:
+    """Bareiss fraction-free Gauss-Jordan elimination, in place.
 
-    Eliminates below the diagonal of the first n columns of the integer
-    rows ``a`` (extra columns, such as a right-hand side, go along), and
-    with ``jordan`` above it too (Gauss-Jordan; only the last diagonal
-    entry is then kept current).  Returns the sign of the row
-    permutation, or 0 when a column has no pivot.
+    Eliminates above and below the diagonal of the first n columns of the
+    integer rows ``a`` (extra columns, such as a right-hand side, go
+    along).  When it returns, a[n-1][n-1] is the determinant D of the
+    permuted rows and each extra column holds D times its solution; only
+    that last diagonal entry is kept current.  Returns the sign of the
+    row permutation, or 0 when a column has no pivot.
     """
     width = len(a[0])
     sign = 1
     prev = 1
-    for k in range(n if jordan else n - 1):
+    for k in range(n):
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
@@ -67,7 +68,7 @@ def _bareiss(a, n, jordan=False) -> int:
                     break
             else:
                 return 0
-        for i in [*range(k if jordan else 0), *range(k + 1, n)]:
+        for i in [*range(k), *range(k + 1, n)]:
             for j in range(k + 1, width):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
@@ -86,7 +87,7 @@ def _adjugate(m) -> tuple[list[list[int]] | None, int]:
         dm = a * d - b * c
         return ([[d, -b], [-c, a]] if dm else None), dm
     a = [[*row, *e] for row, e in zip(m, identity(n))]
-    sign = _bareiss(a, n, jordan=True)
+    sign = _bareiss(a, n)
     adj = [[sign * x for x in row[n:]] for row in a] if sign else None
     return adj, sign * a[n - 1][n - 1]
 
@@ -113,15 +114,9 @@ def solve(m, rhs) -> list[Fraction]:
     if len(rhs) != n:
         raise LinAlgError("right-hand side has wrong length")
     a = [scaled([*row, r])[0] for row, r in zip(m, rhs)]
-    if _bareiss(a, n) == 0 or a[n - 1][n - 1] == 0:
+    if _bareiss(a, n) == 0:
         raise LinAlgError("matrix is singular")
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(a[i][n])
-        for j in range(i + 1, n):
-            acc -= a[i][j] * x[j]
-        x[i] = acc / a[i][i]
-    return x
+    return [Fraction(row[n], a[n - 1][n - 1]) for row in a]
 
 
 def identity(n) -> list[list[int]]:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import factorial, gcd
 from operator import attrgetter, index, mul
 
-from .exact import _adjugate, primitive_direction, scaled
+from .exact import LinAlgError, _adjugate, mat_vec, primitive_direction, scaled
 
 
 class DegeneracyError(ValueError):
@@ -331,8 +331,7 @@ class HalfspaceSystem:
 
     def contains(self, x, strict=False) -> bool:
         x, m = scaled(x)
-        for ai, bi in zip(self.a, self.b):
-            lhs = sum(map(mul, ai, x))
+        for lhs, bi in zip(mat_vec(self.a, x), self.b):
             if lhs > bi * m or (strict and lhs == bi * m):
                 return False
         return True
@@ -377,16 +376,16 @@ def barycentric(x, f: Face) -> list[Fraction]:
     Row j of ``hrep`` is the facet opposite vertex j, so the coordinate
     of vertex j is (b_j - a_j x) / (b_j - a_j v_j).  x lies in aff(f)
     iff it is on every facet through f, which is checked exactly.  x is
-    scaled once to integers, so each coordinate is one ``Fraction``.
+    scaled once to integers, so each coordinate is one ``Fraction``; an x
+    of the wrong length raises ``LinAlgError``.
     """
     h = hrep(f.parent)
     x, m = scaled(x)
     betas = []
-    for j, (aj, bj) in enumerate(zip(h.a, h.b)):
-        slack = bj * m - sum(map(mul, aj, x))
+    for j, (ax, bj) in enumerate(zip(mat_vec(h.a, x), h.b)):
+        slack = bj * m - ax
         if j in f.vertex_indices:
-            vj = f.parent.vertices[j]
-            scale = m * (bj - sum(map(mul, aj, vj)))
+            scale = m * (bj - sum(map(mul, h.a[j], f.parent.vertices[j])))
             betas.append(Fraction(slack, scale))
         elif slack != 0:
             raise HullMembershipError("point is outside the affine hull")
@@ -467,14 +466,9 @@ def relint_points(f: Face, limit=None) -> list[tuple[int, ...]]:
     """Lattice points in the relative interior of the face f.
 
     The facets opposite the vertices of f are strict, the facets through
-    f are equalities.  The relative interior of a dimension-0 face is the
-    vertex itself.  ``limit`` truncates as in ``integer_points``; computed
-    once per face.
+    f are equalities, so a vertex is its own relative interior.  ``limit``
+    truncates as in ``integer_points``; computed once per face.
     """
-    if f.dim == 0:
-        _check_limit(limit)
-        return [tuple(f.vertices[0])]
-
     def compute():
         h = hrep(f.parent)
         rows = []
@@ -497,10 +491,13 @@ def qualifying_facets(s: LatticeSimplex) -> list[Face]:
 
 def collinear(points) -> bool:
     """True iff the points lie on one line: their nonzero differences from
-    the first point share one ``primitive_direction``."""
+    the first point share one ``primitive_direction``.  Points of different
+    lengths raise ``LinAlgError``."""
     pts = list(points)
     if not pts:
         raise ValueError("need at least one point")
+    if len(set(map(len, pts))) != 1:
+        raise LinAlgError("points have different lengths")
     diffs = ([c - c0 for c, c0 in zip(p, pts[0])] for p in pts[1:])
     return len({primitive_direction(v) for v in diffs if any(v)}) <= 1
 

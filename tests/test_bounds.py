@@ -70,6 +70,45 @@ class TestFacetBound:
         r = facet_bound(s, bottom_facet(s))
         assert r.tight and r.bound == volume(s)
 
+    def test_computed_once_per_facet(self):
+        s = zpw_simplex(3, 2)
+        r = facet_bound(s, bottom_facet(s))
+        assert facet_bound(s, Face(s, (0, 1, 2))) is r
+        assert proof_trace(s, bottom_facet(s)).box is r.betas
+
+    def test_analysis_derives_each_relint_point_and_betas_once(
+            self, monkeypatch):
+        from latticebound import bounds
+        from latticebound.io import analyze_simplex
+
+        calls = {"barycentric": 0, "relint_points": 0}
+
+        def counting(name):
+            fn = getattr(bounds, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(bounds, name, counting(name))
+        analyze_simplex(zpw_simplex(3, 2))
+        # pikhurko: one barycentric per interior point (2); the facet
+        # bound: one relint query and one barycentric per qualifying
+        # facet (2), which the proof trace of the best one reuses
+        assert calls == {"barycentric": 4, "relint_points": 2}
+
+    def test_proof_trace_raises_the_facet_bound_errors(self):
+        s = zpw_simplex(3, 1)
+        with pytest.raises(ApplicabilityError, match="^face is not a facet"):
+            proof_trace(s, Face(s, (0, 1)))
+        s = LatticeSimplex([(-1, 0), (2, 0), (0, 2)])
+        with pytest.raises(ApplicabilityError,
+                           match="^facet does not have exactly one"):
+            proof_trace(s, bottom_facet(s))
+
 
 class TestQualifyingFacets:
     def test_s21(self):

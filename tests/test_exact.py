@@ -129,6 +129,15 @@ class TestSolve:
     def test_singular(self):
         with pytest.raises(LinAlgError):
             solve([[1, 2], [2, 4]], [1, 1])
+        with pytest.raises(LinAlgError):
+            solve([[1, 0, 1], [0, 1, 1], [1, 1, 2]], [1, 2, 3])
+
+    def test_row_swaps(self):
+        # zero pivots in columns 0 and 1 make the pass swap rows twice
+        m = [[0, 2, 1], [0, 0, 3], [4, 1, 0]]
+        x = solve(m, [5, 6, 7])
+        assert x == [F(11, 8), F(3, 2), 2]
+        assert [sum(a * b for a, b in zip(row, x)) for row in m] == [5, 6, 7]
 
 
 def left_factor(h, m):

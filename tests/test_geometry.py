@@ -14,6 +14,7 @@ from latticebound import (
     HullMembershipError,
     LatticePolygon,
     LatticeSimplex,
+    LinAlgError,
     barycentric,
     canonical_form,
     collinear,
@@ -105,6 +106,12 @@ class TestBarycentric:
         for i in range(3):
             assert sum(b * v[i] for b, v in zip(betas, s.vertices)) == x[i]
 
+    def test_point_of_wrong_length_raises(self):
+        s = LatticeSimplex([(0, 0), (4, 0), (0, 4)])
+        for x in [(1,), (1, 1, 0)]:
+            with pytest.raises(LinAlgError):
+                barycentric(x, Face(s, (0, 1, 2)))
+
 
 class TestFacets:
     def test_triangle(self):
@@ -151,6 +158,13 @@ class TestHrep:
         h = hrep(zpw_simplex(2, 1))
         assert h.contains([1, 1], strict=True)
         assert h.contains([2, 0]) and not h.contains([2, 1])
+
+    def test_contains_point_of_wrong_length_raises(self):
+        h = hrep(LatticeSimplex([(0, 0), (4, 0), (0, 4)]))
+        for x in [(1, 1, 99), (1,)]:
+            for strict in (False, True):
+                with pytest.raises(LinAlgError):
+                    h.contains(x, strict)
 
     def test_integer_rows(self):
         s = LatticeSimplex([(1, 2, 3), (4, 2, 3), (1, 7, 4), (2, 3, 9)])
@@ -365,6 +379,12 @@ class TestCollinear:
 
     def test_rational_points(self):
         assert collinear([(F(1, 2), 0), (F(3, 2), 2), (F(5, 2), 4)])
+
+    def test_points_of_different_lengths_raise(self):
+        for pts in [[(0, 0), (1, 1), (2,)], [(0,), (1, 1)],
+                    [(0, 0), (0, 0, 1)]]:
+            with pytest.raises(LinAlgError):
+                collinear(pts)
 
 
 class TestPolygonCounts:

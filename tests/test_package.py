@@ -1,5 +1,6 @@
 """The package surface: lazy exports, per-command imports, value classes."""
 
+import doctest
 import importlib.util
 import json
 import os
@@ -359,3 +360,21 @@ def test_benchmark_span_names_resolve():
     del facet["volume"], facet["schemaVersion"], vdc["schemaVersion"]
     del vdc["hMinusCount"], vdc["hZeroCount"]
     assert detail["facetBound"] == facet and detail["vdc"] == vdc
+
+
+# ---------------------------------------------------------------------------
+# The README's quick-start example
+# ---------------------------------------------------------------------------
+
+def test_readme_python_example_runs():
+    """The fenced ``python`` block of README.md, without its fences, passes
+    as a doctest (with the fences, the closing one reads as expected
+    output)."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(
+        block, {}, "README.md", str(readme), 0)
+    runner = doctest.DocTestRunner()
+    runner.run(test)
+    assert test.examples and runner.failures == 0
