@@ -75,6 +75,8 @@ def _facet(s: LatticeSimplex, index: int | None) -> Face:
 
 
 def _emit(payload, as_json):
+    """Print the payload as JSON, with its ``schemaVersion``, or as
+    ``key: value`` lines."""
     if as_json:
         import json
 
@@ -179,9 +181,7 @@ def cmd_survey2d(args):
     if args.filter:
         census = filter_one_relint_facet(census)
     if args.json:
-        import json
-
-        payload = {
+        _emit({
             "schemaVersion": SCHEMA_VERSION,
             "k": census.k,
             "cap": census.search_cap,
@@ -190,8 +190,7 @@ def cmd_survey2d(args):
             "maximizers": [
                 [list(v) for v in t.vertices] for t in census.maximizers
             ],
-        }
-        print(json.dumps(payload, indent=2))
+        }, True)
     else:
         from .io import format_census
 
@@ -223,9 +222,7 @@ def cmd_report(args):
     census = ingest_census(args.census, args.k)
     report = outlook_report(census)
     if args.json:
-        import json
-
-        print(json.dumps(report, indent=2))
+        _emit(report, True)
     else:
         print(f"total: {report['total']}")
         print(f"inSk1: {report['inSk1']}")
@@ -321,13 +318,9 @@ def main(argv=None) -> int:
                 f"{parser.prog} {args.command}: argument --cap: must be at"
                 f" least 2(k+1) = {2 * (args.k + 1)}, got {cap}"
             )
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
         return args.func(args)
+    except SystemExit as exc:  # --help; argparse's errors raise UsageError
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except (UsageError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import index
+from operator import index, mul
 
 
 class LinAlgError(ValueError):
@@ -124,9 +124,9 @@ def identity(n) -> list[list[int]]:
 
 
 def mat_vec(m, v):
-    if not m or len(m[0]) != len(v):
+    if not m or any(len(row) != len(v) for row in m):
         raise LinAlgError("incompatible shapes for matrix-vector product")
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
+    return [sum(map(mul, row, v)) for row in m]
 
 
 def mat_inverse(m) -> list[list[Fraction]]:

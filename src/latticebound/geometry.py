@@ -6,14 +6,14 @@ query derives from the one integer H-representation ``hrep`` of the
 simplex, whose row j is the facet opposite vertex j: a face with vertex
 set I has the rows j in I strict and the rows j not in I tight.  One
 fraction-free Gauss-Jordan pass gives the edge matrix's adjugate, from
-which ``hrep`` is read, and its determinant; it, the H-representation,
-the interior points and each face's relative-interior points are
-computed once per simplex and kept on the instance.  A ``Fraction`` is
-built only for a value that is rational, such as a volume or a
-barycentric coordinate.  The enumeration is a recursive coordinate sweep
-driven by Fourier-Motzkin bounds, so it never scans full bounding boxes
-(those explode doubly exponentially for the simplices this library cares
-about).  The sweep runs on integer rows, as in the integer elimination
+which ``hrep`` is read, and its determinant; it, the H-representation
+and each face's relative-interior points (the interior points are those
+of the face with every vertex) are computed once per simplex and kept on
+the instance.  A ``Fraction`` is built only for a value that is
+rational, such as a volume or a barycentric coordinate.  The enumeration
+is a recursive coordinate sweep driven by Fourier-Motzkin bounds, so it
+never scans full bounding boxes (those explode doubly exponentially for
+the simplices this library cares about).  The sweep runs on integer rows, as in the integer elimination
 step of Pugh's Omega test: each row is scaled once to integers by
 ``exact.scaled``, a strict row a.x < b becomes a.x <= b - 1, every row
 is divided by the gcd of its coefficients with the right-hand side
@@ -169,28 +169,26 @@ def integer_points(rows, nvars, limit=None):
         return []
     if nvars == 0:
         return [()]
-    # levels[v]: rows bounding x_v given x_0..x_{v-1}, split by the sign
-    # of the x_v coefficient: (prefix coeffs, rhs[, |coefficient|]).
+    # levels[v]: the rows of the system in x_0..x_v that bound x_v, split
+    # by the sign of the x_v coefficient: (prefix coeffs, rhs, |coefficient|).
+    # A row with no x_v term needs no check: ``_eliminate_last`` copies it,
+    # or a tighter row with its normal, into level v-1, whose rows every
+    # prefix reaching level v satisfies (level 0 keeps no constant rows).
     levels = []
     for system in reversed(systems):
-        zero, upper, lower = [], [], []
+        upper, lower = [], []
         for a, b in system.items():
             c = a[-1]
-            if c == 0:
-                zero.append((a[:-1], b))
-            elif c > 0:
+            if c > 0:
                 upper.append((a[:-1], b, c))
-            else:
+            elif c < 0:
                 lower.append((a[:-1], b, -c))
-        levels.append((zero, upper, lower))
+        levels.append((upper, lower))
 
     results = []
 
     def sweep(prefix, v):
-        zero, upper, lower = levels[v]
-        for a, b in zero:
-            if sum(map(mul, a, prefix)) > b:
-                return False
+        upper, lower = levels[v]
         if not upper or not lower:
             raise EnumerationError("region is unbounded")
         hi = min((b - sum(map(mul, a, prefix))) // c for a, b, c in upper)
@@ -326,9 +324,6 @@ class HalfspaceSystem:
     a: tuple[tuple[int, ...], ...]
     b: tuple[int, ...]
 
-    def rows(self, strict=False):
-        return [(ai, bi, strict) for ai, bi in zip(self.a, self.b)]
-
     def contains(self, x, strict=False) -> bool:
         x, m = scaled(x)
         for lhs, bi in zip(mat_vec(self.a, x), self.b):
@@ -450,37 +445,39 @@ def hrep(s: LatticeSimplex) -> HalfspaceSystem:
     return _cached(s, "hrep", compute)
 
 
-def interior_points(s: LatticeSimplex, limit=None) -> list[tuple[int, ...]]:
-    """All lattice points with strictly positive barycentric coordinates,
-    truncated by ``limit`` as in ``integer_points``; computed once per
-    simplex.
-    """
-    return _cached(
-        s, "interior",
-        lambda: integer_points(hrep(s).rows(strict=True), s.dim, limit=limit),
-        limit,
-    )
-
-
-def relint_points(f: Face, limit=None) -> list[tuple[int, ...]]:
-    """Lattice points in the relative interior of the face f.
-
-    The facets opposite the vertices of f are strict, the facets through
-    f are equalities, so a vertex is its own relative interior.  ``limit``
-    truncates as in ``integer_points``; computed once per face.
+def _relint(s: LatticeSimplex, idx: tuple, limit) -> list[tuple[int, ...]]:
+    """Lattice points in the relative interior of the face of s with the
+    vertex indices idx: the facets opposite its vertices are strict, the
+    facets through it are equalities.  Computed once per face.
     """
     def compute():
-        h = hrep(f.parent)
+        h = hrep(s)
         rows = []
         for j, (aj, bj) in enumerate(zip(h.a, h.b)):
-            if j in f.vertex_indices:
+            if j in idx:
                 rows.append((aj, bj, True))
             else:
                 rows.append((aj, bj, False))
                 rows.append((tuple(-c for c in aj), -bj, False))
-        return integer_points(rows, f.parent.dim, limit=limit)
+        return integer_points(rows, s.dim, limit=limit)
 
-    return _cached(f.parent, ("relint", f.vertex_indices), compute, limit)
+    return _cached(s, ("relint", idx), compute, limit)
+
+
+def interior_points(s: LatticeSimplex, limit=None) -> list[tuple[int, ...]]:
+    """All lattice points with strictly positive barycentric coordinates:
+    the relative interior of the face with every vertex.  ``limit``
+    truncates as in ``integer_points``; computed once per simplex.
+    """
+    return _relint(s, tuple(range(s.dim + 1)), limit)
+
+
+def relint_points(f: Face, limit=None) -> list[tuple[int, ...]]:
+    """Lattice points in the relative interior of the face f (a vertex is
+    its own relative interior).  ``limit`` truncates as in
+    ``integer_points``; computed once per face.
+    """
+    return _relint(f.parent, f.vertex_indices, limit)
 
 
 def qualifying_facets(s: LatticeSimplex) -> list[Face]:

@@ -44,55 +44,49 @@ class SimplexRecord:
 
 def parse_simplices(text: str) -> list[SimplexRecord]:
     records = []
-    lines = text.splitlines()
-    i = 0
-    n = len(lines)
-    while i < n:
-        raw = lines[i]
+    lines = enumerate(text.splitlines(), 1)
+    for dim_no, raw in lines:
         content, _, comment = raw.partition("#")
         if not content.strip():
-            i += 1
             continue
-        dim_line = i + 1
         try:
             dim = int(content.strip())
         except ValueError:
             raise ParseError(f"expected a dimension, got {content.strip()!r}",
-                             dim_line)
+                             dim_no)
         if dim < 1:
-            raise ParseError("dimension must be >= 1", dim_line)
+            raise ParseError("dimension must be >= 1", dim_no)
         label = comment.strip() or None
         verts = []
-        i += 1
-        while len(verts) < dim + 1 and i < n:
-            content, _, _ = lines[i].partition("#")
-            stripped = content.strip()
+        # the vertex lines share the iterator: a blank line ends the record
+        for no, line in lines:
+            stripped = line.partition("#")[0].strip()
             if not stripped:
-                if "#" in lines[i]:
-                    i += 1
+                if "#" in line:
                     continue
                 break
             parts = stripped.split()
             if len(parts) != dim:
                 raise ParseError(
-                    f"expected {dim} coordinates, got {len(parts)}", i + 1
+                    f"expected {dim} coordinates, got {len(parts)}", no
                 )
             try:
                 verts.append(tuple(int(p) for p in parts))
             except ValueError:
-                raise ParseError(f"malformed integer in {stripped!r}", i + 1)
-            i += 1
+                raise ParseError(f"malformed integer in {stripped!r}", no)
+            if len(verts) == dim + 1:
+                break
         if len(verts) != dim + 1:
             raise ParseError(
                 f"expected {dim + 1} vertices for dimension {dim}, "
                 f"got {len(verts)}",
-                dim_line,
+                dim_no,
             )
         records.append(SimplexRecord(dim, tuple(verts), label))
         try:
             records[-1].to_simplex()
         except DegeneracyError as exc:
-            raise ParseError(str(exc), dim_line)
+            raise ParseError(str(exc), dim_no)
     return records
 
 

@@ -37,6 +37,11 @@ class TestConstruct:
         code, out, _ = run(["construct", "t", "--dim", "2"], capsys=capsys)
         assert code == EXIT_OK and "0 3" in out
 
+    def test_exceptional(self, capsys):
+        code, out, _ = run(["construct", "exceptional"], capsys=capsys)
+        assert code == EXIT_OK and out.startswith("3\n0 0 0\n")
+        assert out.endswith("# volume = 12\n")
+
     def test_lift(self, capsys, monkeypatch):
         code, out, _ = run(
             ["construct", "lift", "--k", "1"],
@@ -275,6 +280,7 @@ class TestUsage:
         ["verify", "main2d", "--k", "1", "--cap", "3"],
         ["ingest", "--census", "CENSUS", "--k", "-1"],
         ["report", "outlook", "--census", "CENSUS", "--k", "-1"],
+        ["survey2d", "--k", "x"],
     ])
     def test_out_of_range_is_usage(self, capsys, argv, sample_census_path):
         argv = [sample_census_path if a == "CENSUS" else a for a in argv]

@@ -51,6 +51,17 @@ class TestSylvester:
             )
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: zpw_simplex(0, 1), "need d >= 1 and k >= 0"),
+    (lambda: t_simplex(0), "need d >= 1"),
+    (lambda: lift(t_simplex(1), -1), "need k >= 0"),
+    (lambda: inscribed_cube_scale(1), "need d >= 2"),
+])
+def test_arguments_out_of_domain_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestZpwSimplex:
     def test_small_cases(self):
         assert zpw_simplex(2, 1).vertices == ((0, 0), (2, 0), (0, 4))

@@ -132,12 +132,27 @@ class TestSolve:
         with pytest.raises(LinAlgError):
             solve([[1, 0, 1], [0, 1, 1], [1, 1, 2]], [1, 2, 3])
 
+    @pytest.mark.parametrize("rhs", [[1], [1, 2, 3]])
+    def test_rhs_of_wrong_length(self, rhs):
+        with pytest.raises(LinAlgError, match="right-hand side"):
+            solve(identity(2), rhs)
+
     def test_row_swaps(self):
         # zero pivots in columns 0 and 1 make the pass swap rows twice
         m = [[0, 2, 1], [0, 0, 3], [4, 1, 0]]
         x = solve(m, [5, 6, 7])
         assert x == [F(11, 8), F(3, 2), 2]
         assert [sum(a * b for a, b in zip(row, x)) for row in m] == [5, 6, 7]
+
+
+class TestMatVec:
+    def test_longer_row_raises(self):
+        with pytest.raises(LinAlgError):
+            mat_vec([[1, 2], [3, 4, 5]], [1, 1])
+
+    def test_shorter_row_raises(self):
+        with pytest.raises(LinAlgError):
+            mat_vec([[1, 2], [3]], [1, 1])
 
 
 def left_factor(h, m):

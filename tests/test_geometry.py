@@ -57,6 +57,10 @@ class TestVolume:
     def test_degenerate(self):
         with pytest.raises(DegeneracyError):
             LatticeSimplex([(0, 0), (1, 1), (2, 2)])
+        with pytest.raises(DegeneracyError, match="^no vertices$"):
+            LatticeSimplex([])
+        with pytest.raises(DegeneracyError, match="expected 3 vertices"):
+            LatticeSimplex([(0, 0), (1, 0)])
 
     def test_zero_dimension(self):
         # one vertex of no coordinates: refused before any elimination
@@ -376,6 +380,10 @@ class TestCollinear:
 
     def test_single_point(self):
         assert collinear([(5, 7)])
+
+    def test_no_points_raise(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            collinear([])
 
     def test_rational_points(self):
         assert collinear([(F(1, 2), 0), (F(3, 2), 2), (F(5, 2), 4)])

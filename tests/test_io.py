@@ -5,7 +5,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import parse_oracle
 from latticebound import (
     DataIntegrityError,
     LatticeSimplex,
@@ -71,6 +74,60 @@ class TestParse:
     def test_degenerate_rejected(self):
         with pytest.raises(ParseError):
             parse_simplices("2\n0 0\n1 1\n2 2\n")
+
+
+# Lines a census text may hold: comments, blanks, dimension lines with and
+# without labels, and vertex lines of any length with small or bad entries.
+_entry = st.one_of(st.integers(-2, 3).map(str), st.sampled_from(["x", "1.5"]))
+_coordinate = st.sampled_from(["-1", "0", "1", "2", "3"] * 10 + ["x"])
+_comment = st.sampled_from(["", "", "#", "# note", "  # axis triangle"])
+_filler = st.sampled_from(["", "   ", "# only a comment", "\t#"])
+_line = st.one_of(
+    _filler,
+    st.tuples(st.sampled_from(["0", "1", "2", "3", "-1", "two"]), _comment)
+    .map("".join),
+    st.tuples(st.lists(_entry, max_size=4).map(" ".join), _comment)
+    .map("".join),
+)
+
+
+@st.composite
+def _record(draw):
+    """A dimension line and d + 1 vertex lines, give or take one, with a
+    comment-only or blank line among them now and then."""
+    d = draw(st.integers(1, 3))
+    n = d + 1 + draw(st.sampled_from([-1, 0, 0, 0, 1]))
+    lines = [str(d) + draw(_comment)]
+    for _ in range(n):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(_filler))
+        v = draw(st.lists(_coordinate, min_size=d, max_size=d))
+        lines.append(" ".join(v) + draw(_comment))
+    return lines
+
+
+_text = st.tuples(
+    st.lists(st.one_of(_record(), _record(), _filler.map(lambda x: [x]),
+                       _line.map(lambda x: [x])), max_size=6),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+).map(lambda t: t[1].join(sum(t[0], [])) + (t[1] if t[2] else ""))
+
+
+def _outcome(parse, text):
+    """The records as (dim, vertices, label), or the error's class,
+    message and ``line``."""
+    try:
+        return [(r.dim, r.vertices, r.label) for r in parse(text)]
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_text)
+def test_parse_matches_the_index_walking_oracle(text):
+    assert (_outcome(parse_simplices, text)
+            == _outcome(parse_oracle.parse_simplices, text))
 
 
 class TestFormat:

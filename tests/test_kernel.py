@@ -54,6 +54,27 @@ def test_integer_points_match_fraction_oracle(system):
         assert integer_points(rows, d, limit=limit) == expected[: limit + 1]
 
 
+@settings(max_examples=200, deadline=None)
+@given(bounded_systems())
+def test_rows_free_of_the_last_variable_reach_the_next_level(system):
+    """Why the sweep checks no row without an x_v term at level v: each
+    such row reappears one level down with the same normal and a
+    right-hand side no larger, and the last level keeps no constant row."""
+    rows, d = system
+    level = _system(rows)
+    for _ in range(d - 1):
+        if level is None:
+            return
+        lower = _eliminate_last(level)
+        if lower is None:
+            return
+        for a, b in level.items():
+            if a[-1] == 0:
+                assert lower[a[:-1]] <= b
+        level = lower
+    assert level is None or all(a[-1] != 0 for a in level)
+
+
 def test_infeasible_system_is_empty():
     rows = [((1, 0), 3, False), ((-1, 0), 0, False), ((0, 1), 3, False),
             ((0, -1), 0, False), ((1, 1), 1, True), ((-1, -1), -1, True)]

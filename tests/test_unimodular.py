@@ -521,6 +521,10 @@ class TestEquivalent:
         )
         assert not equivalent(t_simplex(2), zpw_simplex(2, 0))
 
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            equivalent(zpw_simplex(2, 1), zpw_simplex(3, 1))
+
     def test_equivalence_relation_on_census(self):
         reps = enumerate_triangles(1).representatives
         # reflexive and pairwise-distinct canonical keys imply symmetry and
@@ -538,6 +542,10 @@ class TestRandomUnimodular:
     def test_unimodular(self, seed):
         phi = random_unimodular(3, seed)
         assert abs(det([list(r) for r in phi.u])) == 1
+
+    def test_dimension_below_one_raises(self):
+        with pytest.raises(ValueError, match="need d >= 1"):
+            random_unimodular(0, 1)
 
     def test_entry_budget(self):
         phi = random_unimodular(3, 11, size=3)
