@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
 
-from .exact import det, mat_vec, primitive_direction
+from .exact import _rat, det, mat_vec, primitive_direction
 from .geometry import (
     Face,
     LatticeSimplex,
@@ -292,6 +292,38 @@ def equality_certificate(s: LatticeSimplex, f: Face) -> EqualityCertificate:
     return EqualityCertificate(
         direction, parallel_edge, collinear_ok, parallel_edge is not None
     )
+
+
+# The printed payloads of a facet bound and of a proof trace's vdc check,
+# shared by ``bound --json`` and ``io.analyze_simplex``.  They live here, and
+# not in ``io``, so that only the commands that bound compile them.
+
+def facet_bound_payload(fb, volume=None) -> dict:
+    """The facet bound ``fb`` as printed, with ``volume`` before ``tight``
+    when given."""
+    payload = {
+        "facet": list(fb.facet.vertex_indices),
+        "relintPoint": list(fb.relint_point),
+        "betas": [_rat(b) for b in fb.betas],
+        "bound": _rat(fb.bound),
+    }
+    if volume is not None:
+        payload["volume"] = _rat(volume)
+    payload["tight"] = fb.tight
+    return payload
+
+
+def vdc_payload(trace) -> dict:
+    """The symmetric-box check on the lattice and box of a proof trace, as
+    printed."""
+    vdc = vdc_check(trace.lattice, trace.box)
+    return {
+        "lhs": _rat(vdc.lhs),
+        "rhs": _rat(vdc.rhs),
+        "holds": vdc.holds,
+        "tight": vdc.tight,
+        "ySize": len(trace.y_set),
+    }
 
 
 def general_pk_bound(d: int, k: int) -> int:

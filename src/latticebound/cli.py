@@ -117,8 +117,8 @@ def cmd_count(args):
 
 
 def cmd_bound(args):
-    from .bounds import facet_bound, pikhurko, proof_trace, tau
-    from .io import facet_bound_payload, vdc_payload
+    from .bounds import (facet_bound, facet_bound_payload, pikhurko,
+                         proof_trace, tau, vdc_payload)
 
     ok = True
     for s in _read_simplices(args.input):
@@ -217,10 +217,9 @@ def cmd_ingest(args):
 
 
 def cmd_report(args):
-    from .io import ingest_census, outlook_report
+    from .io import outlook_report, read_census
 
-    census = ingest_census(args.census, args.k)
-    report = outlook_report(census)
+    report = outlook_report(read_census(args.census), args.k)
     if args.json:
         _emit(report, True)
     else:

@@ -103,8 +103,8 @@ def _eliminate_last(system):
     If an equality (two opposite rows) has a nonzero coefficient on the
     last variable, it is substituted into every other row.  Otherwise
     every row with a positive coefficient is combined with every row with
-    a negative one (Fourier-Motzkin).  Returns None when a combined row is
-    a violated constant.
+    a negative one (Fourier-Motzkin); returns None when a combined row is
+    a violated constant, which a substitution never leaves.
     """
     out = {}
     pos, neg = [], []
@@ -131,8 +131,12 @@ def _eliminate_last(system):
                 continue
             c = a[-1]
             comb = tuple(ce * x - c * y for x, y in zip(a[:-1], e))
-            if not _add_row(out, comb, ce * b - c * f):
-                return None
+            # comb = 0 iff ce*a = c*e, i.e. a is parallel to e.  Every key
+            # is primitive (``_add_row`` divides out the gcd, and a copied
+            # row with no last term keeps its gcd), so then a = e or a = -e,
+            # which ``pair`` skips: no substituted row is a constant.
+            check(_add_row(out, comb, ce * b - c * f),
+                  "an equality substitution left a violated constant row")
         return out
     for ap, bp in pos:
         cp = ap[-1]

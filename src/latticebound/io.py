@@ -1,6 +1,10 @@
-"""Simplex text format, census ingestion, the printed facet-bound and vdc
-payloads, and the outlook report, whose per-record analyses ``fork_map``
-splits over forked worker processes.
+"""Simplex text format, census ingestion and the outlook report.
+
+The report checks and analyzes every census record in one ``fork_map``
+pass over forked worker processes.  This process then runs the census
+checks of ingestion on the facts the pass returned, in file order; when
+the pass raises, it first runs them again record by record, so a census
+fault outranks an analysis error, as when the census was checked first.
 
 Text format (UTF-8): one record is a dimension line ``d`` followed by
 d+1 lines of d space-separated integers; records are separated by blank
@@ -18,6 +22,9 @@ from . import SCHEMA_VERSION
 from .exact import _rat
 from .geometry import (DegeneracyError, LatticeSimplex, _cached, _frozen,
                        interior_points, volume)
+
+# The outlook's threshold: vol(S_{3,2}) = vol(zpw_simplex(3, 2)).
+_THRESHOLD = Fraction(18)
 
 
 class ParseError(ValueError):
@@ -101,66 +108,51 @@ def format_census(simplices, k: int, cap) -> str:
     return header + "\n".join(format_simplex(s) for s in simplices)
 
 
+def read_census(path) -> list[SimplexRecord]:
+    """The records of a census file, parsed but not yet checked."""
+    with open(path, encoding="utf-8") as fh:
+        return parse_simplices(fh.read())
+
+
+def _census_facts(rec: SimplexRecord, k: int):
+    """What the census checks read of a record: its interior count, found
+    with ``limit=k``, and its canonical key where that count is k."""
+    from .unimodular import canonical_form
+
+    s = rec.to_simplex()
+    count = len(interior_points(s, limit=k))
+    return count, canonical_form(s).key() if count == k else None
+
+
+def _check_census(records, k: int, facts=None) -> None:
+    """Raise ``DataIntegrityError`` at the first record, in file order,
+    without exactly k interior lattice points or unimodularly equivalent to
+    an earlier one.  ``facts`` holds each record's ``_census_facts``;
+    without it they are computed in turn, so the first fault ends the work.
+    """
+    seen = {}
+    facts = facts or map(partial(_census_facts, k=k), records)
+    for idx, (rec, (count, key)) in enumerate(zip(records, facts), 1):
+        name = rec.label or f"record {idx}"
+        if count != k:
+            found = f"more than {k}" if count > k else count
+            raise DataIntegrityError(
+                f"{name}: expected {k} interior lattice points, found {found}")
+        if key in seen:
+            raise DataIntegrityError(
+                f"{name}: duplicate of {seen[key]} under unimodular equivalence")
+        seen[key] = name
+
+
 def ingest_census(path, expected_k: int) -> list[LatticeSimplex]:
     """Load and validate a census file.
 
     Every record must have exactly expected_k interior lattice points and
     no two records may be unimodularly equivalent.
     """
-    from .unimodular import canonical_form
-
-    with open(path, encoding="utf-8") as fh:
-        records = parse_simplices(fh.read())
-    simplices = []
-    seen = {}
-    for idx, rec in enumerate(records, 1):
-        s = rec.to_simplex()
-        name = rec.label or f"record {idx}"
-        count = len(interior_points(s, limit=expected_k))
-        if count != expected_k:
-            found = f"more than {expected_k}" if count > expected_k else count
-            raise DataIntegrityError(
-                f"{name}: expected {expected_k} interior lattice points, "
-                f"found {found}"
-            )
-        key = canonical_form(s).key()
-        if key in seen:
-            raise DataIntegrityError(
-                f"{name}: duplicate of {seen[key]} under unimodular equivalence"
-            )
-        seen[key] = name
-        simplices.append(s)
-    return simplices
-
-
-def facet_bound_payload(fb, volume=None) -> dict:
-    """The facet bound ``fb`` as printed, with ``volume`` before ``tight``
-    when given."""
-    payload = {
-        "facet": list(fb.facet.vertex_indices),
-        "relintPoint": list(fb.relint_point),
-        "betas": [_rat(b) for b in fb.betas],
-        "bound": _rat(fb.bound),
-    }
-    if volume is not None:
-        payload["volume"] = _rat(volume)
-    payload["tight"] = fb.tight
-    return payload
-
-
-def vdc_payload(trace) -> dict:
-    """The symmetric-box check on the lattice and box of a proof trace, as
-    printed."""
-    from .bounds import vdc_check
-
-    vdc = vdc_check(trace.lattice, trace.box)
-    return {
-        "lhs": _rat(vdc.lhs),
-        "rhs": _rat(vdc.rhs),
-        "holds": vdc.holds,
-        "tight": vdc.tight,
-        "ySize": len(trace.y_set),
-    }
+    records = read_census(path)
+    _check_census(records, expected_k)
+    return [rec.to_simplex() for rec in records]
 
 
 def analyze_simplex(s, threshold=None) -> dict:
@@ -168,13 +160,13 @@ def analyze_simplex(s, threshold=None) -> dict:
     ``LatticeSimplex``, whose cached facts it reuses, or of its vertices.
     Given a ``threshold``, it ends with ``nuExceedsThreshold``: nu exists
     and exceeds it."""
-    from .bounds import (ApplicabilityError, best_facet_bound, pikhurko,
-                         proof_trace)
+    from .bounds import (ApplicabilityError, best_facet_bound,
+                         facet_bound_payload, pikhurko, proof_trace,
+                         vdc_payload)
     from .unimodular import canonical_form
 
     s = s if isinstance(s, LatticeSimplex) else LatticeSimplex(s)
-    pts = interior_points(s)
-    k = len(pts)
+    k = len(interior_points(s))
     vol = volume(s)
     detail = {
         "vertices": [list(v) for v in s.vertices],
@@ -229,12 +221,23 @@ def fork_map(fn, items) -> list:
     pickles its ``_map_share`` down a pipe.  Every child is reaped, and
     killed first if item 0 fails or one dies without a result (which
     raises ``ChildProcessError``); then the lowest failing item raises,
-    as in the serial map.  Serial without ``os.fork``."""
+    as in the serial map.  Serial without ``os.fork``.  ``outlook_report``
+    calls it once per census, and each call of fn there computes a
+    record's census facts and its analysis, so the census checks' work is
+    split over the workers too.
+
+    Before forking, ``gc.freeze()`` moves every object then alive into the
+    permanent generation, where it stays in this process too: no
+    collection, in a child or here later, walks those objects, so the
+    children write to fewer shared pages and the exiting process skips
+    them."""
     w = _worker_count(len(items))
     if w == 1 or not hasattr(os, "fork"):
         return list(map(fn, items))
+    import gc
     import pickle
 
+    gc.freeze()
     children, shares = [], []
     try:
         for i in range(1, w):
@@ -269,20 +272,45 @@ def fork_map(fn, items) -> list:
     return [shares[j % w][j // w] for j in range(len(items))]
 
 
-def outlook_report(census) -> dict:
+def _outlook_item(rec, k):
+    """A record's ``_census_facts`` and, if its count is k, its analysis."""
+    facts = _census_facts(rec, k)
+    return facts, facts[0] == k and analyze_simplex(rec.to_simplex(),
+                                                    _THRESHOLD)
+
+
+def outlook_report(census, k=None) -> dict:
     """Count census members with a one-relint-point facet and those whose
-    per-interior-point bound strictly exceeds vol(S_{3,2}) = 18."""
+    per-interior-point bound strictly exceeds vol(S_{3,2}) = 18.
+
+    ``census`` is a list of checked simplices or, given ``k``, the records
+    of a census file, which one ``fork_map`` pass checks and analyzes: each
+    worker computes a record's ``_census_facts`` and analyzes it if its
+    count is k, and then this process runs the checks of ``ingest_census``
+    on those facts in file order.  If the pass raises, the checks first run
+    again here, record by record, so that a census fault outranks the
+    error, as when the census was checked before any analysis.
+    """
     # Imported here, before fork_map forks, so the workers inherit them.
     from . import bounds, unimodular  # noqa: F401
 
-    threshold = Fraction(18)  # vol(S_{3,2}) = vol(zpw_simplex(3, 2))
-    details = fork_map(partial(analyze_simplex, threshold=threshold), census)
+    if k is None:
+        details = fork_map(partial(analyze_simplex, threshold=_THRESHOLD),
+                           census)
+    else:
+        try:
+            done = fork_map(partial(_outlook_item, k=k), census)
+        except Exception:
+            _check_census(census, k)
+            raise
+        _check_census(census, k, [facts for facts, _ in done])
+        details = [detail for _, detail in done]
     details.sort(key=lambda d: d["canonical"])
     return {
         "schemaVersion": SCHEMA_VERSION,
         "total": len(details),
         "inSk1": sum(1 for d in details if d["inSk1"]),
         "nuExceeds": sum(1 for d in details if d["nuExceedsThreshold"]),
-        "threshold": _rat(threshold),
+        "threshold": _rat(_THRESHOLD),
         "details": details,
     }

@@ -1,4 +1,5 @@
 import os
+import re
 import signal
 import time
 from collections import Counter
@@ -467,3 +468,138 @@ class TestWorkers:
         assert err.endswith(" ended without a result\n")
         assert err.count("\n") == 1
         assert_no_children()
+
+
+def census_file(tmp_path, simplices):
+    """A census file of the unlabeled simplices: its records are named
+    ``record 1``, ``record 2``, ..."""
+    path = tmp_path / "census.txt"
+    path.write_text("\n".join(format_simplex(s) for s in simplices))
+    return str(path)
+
+
+def moved(s):
+    """A unimodular image of s: the same class, other vertices."""
+    return LatticeSimplex([(v[0] + 1, *v[1:]) for v in s.vertices])
+
+
+def set_threads(monkeypatch, threads):
+    if threads is None:
+        monkeypatch.delenv("LATTICEBOUND_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("LATTICEBOUND_THREADS", threads)
+
+
+@pytest.mark.parametrize("threads", [None, "2", "3"])
+class TestOnePass:
+    """``report outlook`` checks the census in the pass that analyzes it
+    and raises what checking it first, as ``ingest`` does, raised: the
+    first census fault in file order, before any analysis error."""
+
+    def assert_fault(self, path, message, monkeypatch, capsys, threads):
+        set_threads(monkeypatch, threads)
+        with pytest.raises(DataIntegrityError, match=f"^{re.escape(message)}$"):
+            outlook_report(lb_io.read_census(path), 2)
+        assert_no_children()
+        code = main(["report", "outlook", "--census", path, "--k", "2"])
+        assert code == EXIT_VERIFICATION
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert_no_children()
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_duplicate_outranks_an_earlier_analysis_error(
+            self, sample_census_path, tmp_path, capsys, monkeypatch,
+            four_cpus, threads, failing):
+        # record 1 is in this process's share, record 2 in a child's
+        # (with 2 or 3 workers); either one's analysis fails
+        a, b, c, d = ingest_census(sample_census_path, 2)[:4]
+        census = [a, b, moved(a), c, d]
+        analyze = lb_io.analyze_simplex
+
+        def patched(s, threshold=None):
+            if s.vertices == census[failing - 1].vertices:
+                fail()
+            return analyze(s, threshold)
+
+        monkeypatch.setattr(lb_io, "analyze_simplex", patched)
+        self.assert_fault(
+            census_file(tmp_path, census),
+            "record 3: duplicate of record 1 under unimodular equivalence",
+            monkeypatch, capsys, threads)
+
+    def test_count_fault_outranks_a_later_duplicate(
+            self, sample_census_path, tmp_path, capsys, monkeypatch,
+            four_cpus, threads):
+        a, b = ingest_census(sample_census_path, 2)[:2]
+        path = census_file(tmp_path, [a, zpw_simplex(3, 1), b, moved(a)])
+        self.assert_fault(
+            path, "record 2: expected 2 interior lattice points, found 1",
+            monkeypatch, capsys, threads)
+
+    @pytest.mark.parametrize("fault", ["too-few", "too-many", "duplicate"])
+    def test_single_fault_reads_as_in_ingest(
+            self, sample_census_path, tmp_path, capsys, monkeypatch,
+            four_cpus, threads, fault):
+        census = ingest_census(sample_census_path, 2)[:4]
+        census.insert(2, {
+            "too-few": zpw_simplex(3, 1),
+            "too-many": zpw_simplex(3, 5),
+            "duplicate": moved(census[1]),
+        }[fault])
+        path = census_file(tmp_path, census)
+        assert main(["ingest", "--census", path, "--k", "2"]) == 1
+        _, err = capsys.readouterr()
+        assert err.startswith("error: record 3: ")
+        self.assert_fault(path, err[len("error: "):-1], monkeypatch, capsys,
+                          threads)
+
+
+class TestOnePassMechanism:
+    def test_one_fork_and_this_process_works_only_its_share(
+            self, sample_census_path, monkeypatch, four_cpus):
+        # the interior counts and canonical forms of ingest are computed in
+        # the pass: this process computes those of its own share only
+        from latticebound import unimodular
+
+        records = lb_io.read_census(sample_census_path)
+        seen = {}
+
+        def recording(module, name):
+            fn = getattr(module, name)
+            seen[name] = set()
+
+            def wrapper(s, *args, **kwargs):
+                seen[name].add(s.vertices)
+                return fn(s, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        recording(lb_io, "interior_points")
+        recording(unimodular, "canonical_form")
+        forked = []
+        fork = os.fork
+
+        def counting_fork():
+            forked.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setenv("LATTICEBOUND_THREADS", "2")
+        assert outlook_report(records, 2)["total"] == 10
+        assert_no_children()
+        assert len(forked) == 1
+        share = {rec.vertices for rec in records[0::2]}
+        assert seen == {"interior_points": share, "canonical_form": share}
+
+    def test_ingest_forks_nothing(self, sample_census_path, capsys,
+                                  monkeypatch, four_cpus):
+        def no_fork():
+            raise AssertionError("ingest forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setenv("LATTICEBOUND_THREADS", "3")
+        assert len(ingest_census(sample_census_path, 2)) == 10
+        assert main(["ingest", "--census", sample_census_path,
+                     "--k", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "ok: 10 simplices, each with 2 interior points\n")

@@ -14,7 +14,12 @@ from latticebound import (
     relint_points,
     zpw_simplex,
 )
-from latticebound.geometry import _eliminate_last, _system, integer_points
+from latticebound.geometry import (
+    VerificationError,
+    _eliminate_last,
+    _system,
+    integer_points,
+)
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
@@ -171,3 +176,14 @@ def test_equality_is_substituted(monkeypatch):
             out = _eliminate_last(_system(rows))
             assert len(out) <= len(rows) - 2
     assert substituted == 2
+
+
+def test_substitution_checks_that_no_row_turns_constant():
+    # Keys are primitive, so only the equality's own rows are parallel to
+    # it and no substituted row cancels to a constant.  The check stating
+    # this fires on a system that breaks it: (2, 2) is parallel to e = (1, 1)
+    # and substitutes to 0 <= 1 - 2*3.
+    with pytest.raises(VerificationError, match="violated constant row"):
+        _eliminate_last({(1, 1): 3, (-1, -1): -3, (2, 2): 1})
+    assert _eliminate_last({(1, 1): 3, (-1, -1): -3, (1, 2): 1}) == {
+        (-1,): -5}
