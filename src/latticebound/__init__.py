@@ -26,13 +26,13 @@ _EXPORTS = {
         "interior_points", "polygon_counts", "qualifying_facets",
         "relint_points", "volume",
     ),
-    "io": (
-        "DataIntegrityError", "ParseError", "SimplexRecord", "format_simplex",
-        "ingest_census", "outlook_report", "parse_simplices",
-    ),
+    "io": ("DataIntegrityError", "ingest_census", "outlook_report"),
     "survey": (
         "TriangleCensus", "enumerate_triangles", "filter_one_relint_facet",
         "verify_theorem_main_2d",
+    ),
+    "text": (
+        "ParseError", "SimplexRecord", "format_simplex", "parse_simplices",
     ),
     "unimodular": (
         "AffineUnimodular", "CanonicalForm", "apply", "canonical_form",

@@ -1,7 +1,5 @@
 """``python -m latticebound``: the command-line interface."""
 
-import sys
+from .cli import run
 
-from .cli import main
-
-sys.exit(main())
+run()

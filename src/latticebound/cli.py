@@ -2,12 +2,15 @@
 
 All numeric output is exact rational, rendered as ``p/q`` (or ``n`` when
 integral).  Exit status: 0 on success, 1 on verification failure, 2 on
-usage or parse errors.
+usage or parse errors.  ``main(argv)`` runs one command in-process and
+returns that status; ``run()``, the process entry point, ends the
+process with it at its last flush.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import SCHEMA_VERSION
@@ -51,7 +54,7 @@ def _int_in_range(low, high=None):
 
 
 def _read_simplices(path) -> list[LatticeSimplex]:
-    from .io import ParseError, parse_simplices
+    from .text import ParseError, parse_simplices
 
     if path in (None, "-"):
         text = sys.stdin.read()
@@ -90,7 +93,7 @@ def _emit(payload, as_json):
 
 def cmd_construct(args):
     from .constructions import exceptional_p31, lift, t_simplex, zpw_simplex
-    from .io import format_simplex
+    from .text import format_simplex
 
     if args.what == "zpw":
         s = zpw_simplex(args.dim, args.k)
@@ -192,7 +195,7 @@ def cmd_survey2d(args):
             ],
         }, True)
     else:
-        from .io import format_census
+        from .text import format_census
 
         sys.stdout.write(
             format_census(census.representatives, census.k, census.search_cap)
@@ -324,11 +327,29 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:  # ParseError, DataIntegrityError, ...
-        from .io import ParseError
+        from .text import ParseError
 
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, ParseError) else EXIT_VERIFICATION
 
 
+def run():
+    """The process entry point: ``main()`` on ``sys.argv``, then the
+    process ends at its last flush, with ``os._exit``, and skips the
+    interpreter's teardown.  The library registers no ``atexit`` handler
+    and ``fork_map`` reaps its workers before ``main`` returns, so the
+    teardown has nothing left to do.  If a flush raises (a closed pipe),
+    ``sys.exit`` leaves the failure to the interpreter's shutdown, which
+    reports it as for any script, with exit code 120.  An exception that
+    escapes ``main`` propagates."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,13 +1,13 @@
-"""The index-walking simplex parser, kept as the oracle for the one in io.
+"""The index-walking simplex parser, kept as the oracle for the one in text.
 
 It walks the lines by an index ``i`` and remembers the dimension line.
-``latticebound.io.parse_simplices``, which walks one shared line iterator,
+``latticebound.text.parse_simplices``, which walks one shared line iterator,
 must give the same records, or raise the same error class with the same
 message and ``line``.
 """
 
 from latticebound.geometry import DegeneracyError
-from latticebound.io import ParseError, SimplexRecord
+from latticebound.text import ParseError, SimplexRecord
 
 
 def parse_simplices(text):

@@ -336,7 +336,7 @@ class TestUsage:
         ["report", "outlook", "--census", "FILE"],
     ])
     def test_malformed_census_is_usage(self, capsys, tmp_path, argv):
-        # the ParseError is raised inside io, which the CLI loads lazily:
+        # the ParseError is raised inside text, which the CLI loads lazily:
         # in-process and in a fresh interpreter alike it exits 2
         path = tmp_path / "bad.txt"
         path.write_text(S32 + "\n3\n0 0 0\n1 0 0\n")
@@ -348,13 +348,17 @@ class TestUsage:
             EXIT_USAGE, "", expected)
 
 
-def python_m_latticebound(argv):
-    """``python -m latticebound argv`` in a fresh interpreter."""
+def src_env():
+    """os.environ with this checkout's src/ first on PYTHONPATH."""
     src = str(Path(latticebound.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def python_m_latticebound(argv):
+    """``python -m latticebound argv`` in a fresh interpreter."""
     return subprocess.run([sys.executable, "-m", "latticebound", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=src_env())
 
 
 def test_python_dash_m_runs_the_cli(capsys):
@@ -363,6 +367,38 @@ def test_python_dash_m_runs_the_cli(capsys):
     code, out, _ = run(argv, capsys=capsys)
     assert proc.returncode == code == EXIT_OK
     assert proc.stdout == out and proc.stderr == ""
+
+
+@pytest.mark.parametrize("module", ["latticebound.cli", "latticebound"])
+@pytest.mark.parametrize("unbuffered", [True, False],
+                         ids=["unbuffered", "buffered"])
+def test_closed_stdout_pipe(module, unbuffered):
+    """With the read end of its stdout pipe closed, a job fails without a
+    traceback.  Unbuffered, the first write raises inside main: exit 2
+    and one error line.  Buffered, the last flush raises, and the
+    interpreter's shutdown reports it: exit 120."""
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "construct", "zpw", "--dim", "3",
+             "--k", "2"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    if unbuffered:
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "error: [Errno 32] Broken pipe\n"
+    else:
+        assert proc.returncode == 120
+        assert proc.stderr.startswith(
+            "Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert proc.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+    assert "Traceback" not in proc.stderr
 
 
 def test_console_script_installed():

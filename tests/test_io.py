@@ -24,7 +24,8 @@ from latticebound import (
 from latticebound import io as lb_io
 from latticebound.cli import EXIT_USAGE, EXIT_VERIFICATION, main
 from latticebound.geometry import VerificationError
-from latticebound.io import _worker_count, format_census
+from latticebound.io import _worker_count
+from latticebound.text import format_census
 
 F = Fraction
 

@@ -2,6 +2,7 @@
 
 import doctest
 import importlib.util
+import io
 import json
 import os
 import pickle
@@ -39,6 +40,7 @@ from latticebound import (
     vdc_check,
     zpw_simplex,
 )
+from latticebound import cli
 from latticebound.bounds import PointBound
 
 SRC = str(Path(latticebound.__file__).resolve().parents[1])
@@ -51,8 +53,9 @@ T2 = "2\n0 0\n2 0\n0 3\n"
 # ---------------------------------------------------------------------------
 
 PROBE = """
-import contextlib, io, sys
+import atexit, contextlib, io, sys
 before = set(sys.modules)
+handlers = atexit._ncallbacks()
 out = io.StringIO()
 if sys.argv[1:] == ["--package"]:
     import latticebound
@@ -64,24 +67,34 @@ else:
     from latticebound.cli import main
     with contextlib.redirect_stdout(out):
         code = main(sys.argv[1:])
-print(code, *sorted(set(sys.modules) - before), file=sys.stderr)
+print(code, atexit._ncallbacks() - handlers, *sorted(set(sys.modules) - before),
+      file=sys.stderr)
 sys.stdout.buffer.write(out.getvalue().encode())
 """
 
 
-def new_modules(argv, stdin="", threads=None):
-    """Exit code, the modules that running argv imported and its stdout
-    bytes, in a fresh interpreter."""
+def fresh_env(threads=None):
+    """The environment of a fresh interpreter: src/ first on PYTHONPATH, no
+    LATTICEBOUND_* setting but ``threads``, and block-buffered stdout (no
+    PYTHONUNBUFFERED), so output a process did not flush would be lost."""
     env = {k: v for k, v in os.environ.items()
-           if not k.startswith("LATTICEBOUND_")}
+           if not k.startswith("LATTICEBOUND_") and k != "PYTHONUNBUFFERED"}
     path = env.get("PYTHONPATH")
     env["PYTHONPATH"] = SRC + (os.pathsep + path if path else "")
     if threads is not None:
         env["LATTICEBOUND_THREADS"] = str(threads)
+    return env
+
+
+def new_modules(argv, stdin="", threads=None):
+    """Exit code, the modules that running argv imported and its stdout
+    bytes, in a fresh interpreter; it asserts that argv registered no
+    ``atexit`` handler, which ``cli.run`` would skip."""
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv],
-                          input=stdin.encode(), capture_output=True, env=env,
-                          check=True)
-    code, *modules = proc.stderr.decode().split()
+                          input=stdin.encode(), capture_output=True,
+                          env=fresh_env(threads), check=True)
+    code, handlers, *modules = proc.stderr.decode().split()
+    assert handlers == "0"
     return int(code), set(modules), proc.stdout
 
 
@@ -123,14 +136,19 @@ COMMANDS = {
     "report-text": (["report", "outlook", "--census", None, "--k", "2"], ""),
 }
 GOLDEN = Path(__file__).parent / "golden"
-# modules a command never runs, so never loads
+# modules a command never runs, so never loads: a command that reads or
+# writes simplices takes the text format from `text`, without `io`
 UNLOADED = {
-    "count-interior": {"bounds", "survey"},
-    "canon": {"bounds", "survey"},
-    "survey2d": {"bounds", "io", "constructions"},
-    "verify": {"bounds", "io"},
+    "construct": {"io"},
+    "count-interior": {"bounds", "survey", "io"},
+    "count-relint": {"io"},
+    "canon": {"bounds", "survey", "io"},
+    "survey2d": {"bounds", "io", "constructions", "text"},
+    "verify": {"bounds", "io", "text"},
     "report": {"constructions"},
     "report-text": {"constructions"},
+    "certify": {"io"},
+    **{name: {"io"} for name in COMMANDS if name.startswith("bound-")},
 }
 
 
@@ -148,6 +166,65 @@ def test_commands_import_only_what_they_run(name, threads):
     assert not modules & {"dataclasses", "inspect"}
     assert not modules & {"concurrent.futures", "multiprocessing"}
     assert not modules & {f"latticebound.{m}" for m in UNLOADED.get(name, ())}
+
+
+# ---------------------------------------------------------------------------
+# The process entries, which end the process at its last flush
+# ---------------------------------------------------------------------------
+
+ENTRIES = ("latticebound.cli", "latticebound")
+
+
+def python_m(module, argv, stdin=""):
+    """``python -m module argv`` in a fresh interpreter."""
+    env = dict(fresh_env(), COLUMNS="80")  # argparse's help width
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          input=stdin.encode(), capture_output=True, env=env)
+
+
+@pytest.mark.parametrize("module", ENTRIES)
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_entries_print_the_goldens(module, name):
+    argv, stdin = COMMANDS[name]
+    argv = [census() if a is None else a for a in argv]
+    proc = python_m(module, argv, stdin)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+OTHER_EXITS = {
+    "bound-tau-S32": (["bound", "tau"], S32, 1),
+    "parse-error": (["count", "interior"], "2\n0 0\n2 0\n", 2),
+    "help": (["--help"], "", 0),
+}
+
+
+@pytest.mark.parametrize("module", ENTRIES)
+@pytest.mark.parametrize("name", sorted(OTHER_EXITS))
+def test_entries_exit_as_main_returns(module, name, capsys, monkeypatch):
+    """A failing job and ``--help`` print what ``main`` prints in-process
+    and exit with its code."""
+    argv, stdin, code = OTHER_EXITS[name]
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1
+    else:
+        assert out.startswith("usage: latticebound") and err == ""
+    proc = python_m(module, argv, stdin)
+    assert proc.returncode == code
+    assert (proc.stdout.decode(), proc.stderr.decode()) == (out, err)
+
+
+def test_console_script_is_cli_run():
+    tomllib = pytest.importorskip("tomllib")
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(path.read_text(encoding="utf-8"))["project"]
+    module, _, attr = project["scripts"]["latticebound"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.run
 
 
 # ---------------------------------------------------------------------------
