@@ -13,13 +13,16 @@ the instance.  A ``Fraction`` is built only for a value that is
 rational, such as a volume or a barycentric coordinate.  The enumeration
 is a recursive coordinate sweep driven by Fourier-Motzkin bounds, so it
 never scans full bounding boxes (those explode doubly exponentially for
-the simplices this library cares about).  The sweep runs on integer rows, as in the integer elimination
-step of Pugh's Omega test: each row is scaled once to integers by
-``exact.scaled``, a strict row a.x < b becomes a.x <= b - 1, every row
-is divided by the gcd of its coefficients with the right-hand side
-floored, an equality is substituted rather than paired, and the bounds
-of each coordinate are floor divisions, so neither the elimination nor
-the sweep does ``Fraction`` arithmetic.
+the simplices this library cares about).  The sweep runs on integer
+rows, as in the integer elimination step of Pugh's Omega test: each row
+is scaled once to integers by ``exact.scaled``, a strict row a.x < b
+becomes a.x <= b - 1, every row is divided by the gcd of its
+coefficients with the right-hand side floored, an equality is
+substituted rather than paired, and the bounds of each coordinate are
+floor divisions, so neither the elimination nor the sweep does
+``Fraction`` arithmetic.  Each elimination step splits its rows by the
+sign of the eliminated coefficient once, and that split is the level
+the sweep reads for the coordinate.
 
 ``qualifying_facets``, the facets with exactly one relative-interior
 lattice point, lives here as a face query: ``bounds`` re-exports it, and
@@ -98,54 +101,60 @@ def _system(rows):
 
 
 def _eliminate_last(system):
-    """Project the system onto all variables but the last one.
+    """Split the system by its last variable and project out that variable.
 
-    If an equality (two opposite rows) has a nonzero coefficient on the
-    last variable, it is substituted into every other row.  Otherwise
-    every row with a positive coefficient is combined with every row with
-    a negative one (Fourier-Motzkin); returns None when a combined row is
-    a violated constant, which a substitution never leaves.
+    Returns (upper, lower, projection).  ``upper`` and ``lower`` hold the
+    rows with a positive or a negative last coefficient c as
+    (prefix coeffs, rhs, |c|): the bounds of the last variable, which the
+    sweep reads.  ``projection`` is the system in the other variables.  If
+    an equality (two opposite rows) has a nonzero last coefficient, it is
+    substituted into every other row.  Otherwise every upper row is
+    combined with every lower one (Fourier-Motzkin), and ``projection`` is
+    None when a combined row is a violated constant, which a substitution
+    never leaves.
     """
     out = {}
-    pos, neg = [], []
+    upper, lower = [], []
     eq = None
     for a, b in system.items():
         c = a[-1]
         if c == 0:
             out[a[:-1]] = b
         elif c > 0:
-            pos.append((a, b))
+            upper.append((a[:-1], b, c))
             if (
-                (eq is None or c < eq[0][-1])
+                (eq is None or c < eq[2])
                 and system.get(tuple(-x for x in a)) == -b
             ):
-                eq = (a, b)
+                eq = upper[-1]
         else:
-            neg.append((a, b))
+            lower.append((a[:-1], b, -c))
     if eq is not None:
-        e, f = eq
-        ce = e[-1]
-        pair = (e, tuple(-x for x in e))
-        for a, b in pos + neg:
-            if a in pair:
-                continue
-            c = a[-1]
-            comb = tuple(ce * x - c * y for x, y in zip(a[:-1], e))
-            # comb = 0 iff ce*a = c*e, i.e. a is parallel to e.  Every key
-            # is primitive (``_add_row`` divides out the gcd, and a copied
-            # row with no last term keeps its gcd), so then a = e or a = -e,
-            # which ``pair`` skips: no substituted row is a constant.
-            check(_add_row(out, comb, ce * b - c * f),
-                  "an equality substitution left a violated constant row")
-        return out
-    for ap, bp in pos:
-        cp = ap[-1]
-        for an, bn in neg:
-            cn = -an[-1]
-            comb = tuple(cn * x + cp * y for x, y in zip(ap[:-1], an))
+        e, f, ce = eq
+        # A lower row keeps |c| only, so an upper row can equal the
+        # equality's opposite as a tuple: each is skipped in its own list.
+        opposite = (tuple(-x for x in e), -f, ce)
+        for rows, skip, sign in ((upper, eq, -1), (lower, opposite, 1)):
+            for row in rows:
+                if row == skip:
+                    continue
+                a, b, c = row
+                c *= sign
+                comb = tuple(ce * x + c * y for x, y in zip(a, e))
+                # comb = 0 iff the row is parallel to the equality.  Every
+                # key is primitive (``_add_row`` divides out the gcd, and a
+                # copied row with no last term keeps its gcd), so then the
+                # row is e or -e, which is skipped: no substituted row is a
+                # constant.
+                check(_add_row(out, comb, ce * b + c * f),
+                      "an equality substitution left a violated constant row")
+        return upper, lower, out
+    for ap, bp, cp in upper:
+        for an, bn, cn in lower:
+            comb = tuple(cn * x + cp * y for x, y in zip(ap, an))
             if not _add_row(out, comb, cn * bp + cp * bn):
-                return None
-    return out
+                return upper, lower, None
+    return upper, lower, out
 
 
 def _check_limit(limit):
@@ -166,28 +175,21 @@ def integer_points(rows, nvars, limit=None):
     it always does on an unbounded region with an integer point.
     """
     _check_limit(limit)
-    systems = [_system(rows)]
-    while len(systems) < nvars and systems[-1] is not None:
-        systems.append(_eliminate_last(systems[-1]))
-    if systems[-1] is None:
+    # levels[v]: the rows of the system in x_0..x_v that bound x_v, as
+    # ``_eliminate_last`` splits them.  A row with no x_v term needs no
+    # check: the elimination copies it, or a tighter row with its normal,
+    # into the system in x_0..x_{v-1}, whose rows every prefix reaching
+    # level v satisfies (the system in x_0 keeps no constant rows).  x_0 is
+    # eliminated too, so crossed bounds on x_0 return [] before the sweep.
+    system, levels = _system(rows), []
+    while system is not None and len(levels) < nvars:
+        upper, lower, system = _eliminate_last(system)
+        levels.append((upper, lower))
+    if system is None:
         return []
     if nvars == 0:
         return [()]
-    # levels[v]: the rows of the system in x_0..x_v that bound x_v, split
-    # by the sign of the x_v coefficient: (prefix coeffs, rhs, |coefficient|).
-    # A row with no x_v term needs no check: ``_eliminate_last`` copies it,
-    # or a tighter row with its normal, into level v-1, whose rows every
-    # prefix reaching level v satisfies (level 0 keeps no constant rows).
-    levels = []
-    for system in reversed(systems):
-        upper, lower = [], []
-        for a, b in system.items():
-            c = a[-1]
-            if c > 0:
-                upper.append((a[:-1], b, c))
-            elif c < 0:
-                lower.append((a[:-1], b, -c))
-        levels.append((upper, lower))
+    levels.reverse()
 
     results = []
 

@@ -147,16 +147,17 @@ def fork_map(fn, items) -> list:
     split over the workers too.
 
     Before forking, ``gc.freeze()`` moves every object then alive into the
-    permanent generation, where it stays in this process too: no
-    collection, in a child or here later, walks those objects, so the
-    children write to fewer shared pages and the exiting process skips
-    them."""
+    permanent generation: no collection in a child walks those objects,
+    so the children write to fewer shared pages.  Once the children are
+    reaped the freeze is undone here, unless the caller had frozen objects
+    already, so every object alive at the call is collectable again."""
     w = _worker_count(len(items))
     if w == 1 or not hasattr(os, "fork"):
         return list(map(fn, items))
     import gc
     import pickle
 
+    thawed = not gc.get_freeze_count()
     gc.freeze()
     children, shares = [], []
     try:
@@ -187,6 +188,8 @@ def fork_map(fn, items) -> list:
 
                 os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
+        if thawed:
+            gc.unfreeze()
     if failed := [share for share in shares if isinstance(share, tuple)]:
         raise min(failed)[1]
     return [shares[j % w][j // w] for j in range(len(items))]

@@ -215,6 +215,23 @@ class TestIngestReport:
         )
         assert code == EXIT_OK and out.startswith("ok: 10 simplices")
 
+    @pytest.mark.parametrize("k, flags, count", [
+        (0, [], 9), (0, ["--filter"], 2), (1, [], 5), (1, ["--filter"], 3),
+        (2, [], 5), (2, ["--filter"], 3),
+    ])
+    def test_ingest_reads_a_survey2d_census(self, capsys, tmp_path, k,
+                                            flags, count):
+        code, out, _ = run(["survey2d", "--k", str(k), *flags],
+                           capsys=capsys)
+        assert code == EXIT_OK
+        assert out.startswith(f"# k={k} cap={4 * (k + 1)} count={count}\n")
+        path = tmp_path / "census.txt"
+        path.write_text(out)
+        code, out, _ = run(["ingest", "--census", str(path), "--k", str(k)],
+                           capsys=capsys)
+        assert code == EXIT_OK
+        assert out == f"ok: {count} simplices, each with {k} interior points\n"
+
     def test_ingest_wrong_k(self, capsys, sample_census_path):
         code, _, err = run(
             ["ingest", "--census", sample_census_path, "--k", "1"],

@@ -4,7 +4,7 @@ from itertools import combinations, product
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hrep_oracle
@@ -284,6 +284,12 @@ small_simplex = st.integers(1, 3).flatmap(
 
 @settings(max_examples=40, deadline=None)
 @given(small_simplex)
+# Faces with several equalities, where a row of the sweep's upper level can
+# equal the equality's opposite row as a level tuple: vertex 0 is [(0, 0, 0)],
+# vertex 1 is [(0, 0, 1)] and edge (0, 1) has no relative-interior point.
+@example([(0, 0, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0)])
+@example([(-1, 0, 0, 1), (1, -1, 1, 0), (0, 0, 0, 0), (-1, 1, 1, 1),
+          (1, 0, 0, 1)])
 def test_face_queries_match_box_scan_oracle(verts):
     try:
         s = LatticeSimplex(verts)

@@ -1,3 +1,4 @@
+import gc
 import os
 import re
 import signal
@@ -416,6 +417,31 @@ class TestWorkers:
             lb_io.fork_map(square, list(range(6)))
         assert_no_children()
         assert lb_io.fork_map(square, [0, 3, 4, 5]) == [0, 9, 16, 25]
+        assert_no_children()
+
+    def test_the_freeze_is_undone_on_return(self, sample_census_path,
+                                            monkeypatch, four_cpus):
+        # every object alive at the call is collectable again afterwards,
+        # also after a failure, and a caller's own freeze is left alone
+        def fail(x):
+            raise ValueError("item")
+
+        monkeypatch.setenv("LATTICEBOUND_THREADS", "2")
+        census = lb_io.read_census(sample_census_path)
+        assert gc.get_freeze_count() == 0
+        outlook_report(census, 2)
+        assert gc.get_freeze_count() == 0
+        with pytest.raises(ValueError):
+            lb_io.fork_map(fail, [1, 2])
+        assert gc.get_freeze_count() == 0
+        assert_no_children()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            outlook_report(census, 2)
+            assert gc.get_freeze_count() >= frozen > 0
+        finally:
+            gc.unfreeze()
         assert_no_children()
 
     def test_serial_without_fork(self, sample_census_path, monkeypatch,

@@ -62,22 +62,28 @@ def test_integer_points_match_fraction_oracle(system):
 @settings(max_examples=200, deadline=None)
 @given(bounded_systems())
 def test_rows_free_of_the_last_variable_reach_the_next_level(system):
-    """Why the sweep checks no row without an x_v term at level v: each
-    such row reappears one level down with the same normal and a
-    right-hand side no larger, and the last level keeps no constant row."""
+    """The levels the sweep reads, and why it checks no row without an
+    x_v term at level v: ``upper`` and ``lower`` are exactly the rows with
+    a positive or a negative last coefficient c, as (prefix, rhs, |c|);
+    each row free of x_v reappears one level down with the same normal
+    and a right-hand side no larger; and the system in x_0 keeps no
+    constant row, which would reach the projection onto no variables."""
     rows, d = system
     level = _system(rows)
-    for _ in range(d - 1):
+    for _ in range(d):
         if level is None:
             return
-        lower = _eliminate_last(level)
-        if lower is None:
+        upper, lower, projection = _eliminate_last(level)
+        items = list(level.items())
+        assert upper == [(a[:-1], b, a[-1]) for a, b in items if a[-1] > 0]
+        assert lower == [(a[:-1], b, -a[-1]) for a, b in items if a[-1] < 0]
+        if projection is None:
             return
-        for a, b in level.items():
+        for a, b in items:
             if a[-1] == 0:
-                assert lower[a[:-1]] <= b
-        level = lower
-    assert level is None or all(a[-1] != 0 for a in level)
+                assert projection[a[:-1]] <= b
+        level = projection
+    assert level == {}
 
 
 def test_infeasible_system_is_empty():
@@ -173,7 +179,7 @@ def test_equality_is_substituted(monkeypatch):
         eq = [a for a, _, strict in rows if not strict]
         if eq[0][-1] != 0:
             substituted += 1
-            out = _eliminate_last(_system(rows))
+            _, _, out = _eliminate_last(_system(rows))
             assert len(out) <= len(rows) - 2
     assert substituted == 2
 
@@ -185,5 +191,17 @@ def test_substitution_checks_that_no_row_turns_constant():
     # and substitutes to 0 <= 1 - 2*3.
     with pytest.raises(VerificationError, match="violated constant row"):
         _eliminate_last({(1, 1): 3, (-1, -1): -3, (2, 2): 1})
-    assert _eliminate_last({(1, 1): 3, (-1, -1): -3, (1, 2): 1}) == {
-        (-1,): -5}
+    assert _eliminate_last({(1, 1): 3, (-1, -1): -3, (1, 2): 1}) == (
+        [((1,), 3, 1), ((1,), 1, 2)], [((-1,), -3, 1)], {(-1,): -5})
+
+
+def test_substitution_keeps_an_upper_row_equal_to_the_opposite_level_row():
+    # x + y = 3 and -x + y <= -3.  The last row's level tuple ((-1,), -3, 1)
+    # equals that of the equality's opposite row -x - y <= -3, one in
+    # ``upper`` and one in ``lower``; only the opposite row is skipped, so
+    # the last row substitutes to -2x <= -6, that is x >= 3.
+    upper, lower, projection = _eliminate_last(
+        {(1, 1): 3, (-1, -1): -3, (-1, 1): -3})
+    assert upper == [((1,), 3, 1), ((-1,), -3, 1)]
+    assert lower == [((-1,), -3, 1)]
+    assert projection == {(-1,): -3}
