@@ -4,12 +4,22 @@ Triangles are enumerated in Hermite-shaped coordinates conv(o, (a,0),
 (b,c)) and deduplicated by canonical form, so each unimodular equivalence
 class with area at most the cap appears exactly once.  Pick's formula
 picks the candidates, and rules out whole pairs (a, c) by divisor sums.
+
+Every edge of a triangle gives its class Hermite triples: put the edge on
+the x-axis from o and shear the third vertex into 0 <= b < c.  The base a
+is that edge's lattice length and ac = 2 * area, so a fixes c.  The census
+keeps the first triple of each class in scan order, least a and then
+least b.  Its base is therefore a shortest edge, a <= gcd(b, c) and
+a <= gcd(b - a, c), and its b is at most its mirror's: x -> a - x maps
+(a, b, c) to (a, (a - b) % c, c), a triple of the same class with the same
+a and c.  So the scan skips every triple that fails either test, and the
+census stays the one the full scan gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .geometry import (LatticeSimplex, _frozen, check, interior_points,
                        qualifying_facets, volume)
@@ -36,7 +46,11 @@ def _pick_interior_count(a, b, c):
 
 def _pick_triples(k, cap):
     """(a, b, c) in scan order with 0 <= b < c, ac <= 2 cap and k interior
-    points in conv(o, (a,0), (b,c)) by Pick.  Both gcds in gcd(b, c) +
+    points in conv(o, (a,0), (b,c)) by Pick, whose base is a shortest edge
+    (a <= gcd(b, c), a <= gcd(b - a, c)) and whose b is at most its
+    mirror's (b <= (a - b) % c).  The first triple of each class in scan
+    order passes both tests (module docstring).  Since a <= gcd(b, c) <= c,
+    a stops at isqrt(2 cap) and c starts at a.  Both gcds in gcd(b, c) +
     gcd(b - a, c) = ac - a + 2 - 2k divide c, so the b loop runs only when
     the right-hand side is a sum of two divisors of c.
     """
@@ -45,11 +59,13 @@ def _pick_triples(k, cap):
         for c in range(x, 2 * cap + 1, x):
             divisors[c].append(x)
     sums = [{x + y for x in ds for y in ds} for ds in divisors]
-    for a in range(1, 2 * cap + 1):
-        for c in range(1, (2 * cap) // a + 1):
+    for a in range(1, isqrt(2 * cap) + 1):
+        for c in range(a, (2 * cap) // a + 1):
             if a * c - a + 2 - 2 * k in sums[c]:
                 yield from ((a, b, c) for b in range(c)
-                            if _pick_interior_count(a, b, c) == k)
+                            if a <= gcd(b, c) and a <= gcd(b - a, c)
+                            and b <= (a - b) % c
+                            and _pick_interior_count(a, b, c) == k)
 
 
 def _maximizers(reps):

@@ -128,6 +128,7 @@ COMMANDS = {
     "certify": (["certify", "equality", "--facet", "3"], S32),
     "canon": (["canon"], S32),
     "survey2d": (["survey2d", "--k", "1", "--filter", "--json"], ""),
+    "survey2d-text": (["survey2d", "--k", "3"], ""),
     "verify": (["verify", "main2d", "--k", "1", "--json"], ""),
     "ingest": (["ingest", "--census", None, "--k", "2"], ""),
     "report": (["report", "outlook", "--census", None, "--k", "2", "--json"], ""),
@@ -144,6 +145,7 @@ UNLOADED = {
     "count-relint": {"io"},
     "canon": {"bounds", "survey", "io"},
     "survey2d": {"bounds", "io", "constructions", "text"},
+    "survey2d-text": {"bounds", "io", "constructions"},
     "verify": {"bounds", "io", "text"},
     "report": {"constructions"},
     "report-text": {"constructions"},

@@ -6,7 +6,10 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import census_oracle
 import latticebound
 from latticebound import (
     LatticeSimplex,
@@ -21,6 +24,7 @@ from latticebound import (
     volume,
     zpw_simplex,
 )
+from latticebound import survey
 from latticebound.survey import _pick_triples
 
 F = Fraction
@@ -29,11 +33,17 @@ F = Fraction
 def brute_force_classes(k, cap):
     """Oracle: scan all triangles conv(o, q, r) with q, r in [0,12]^2.
 
-    Every equivalence class of area <= cap with k interior points has a
-    Hermite-shaped representative conv(o,(a,0),(b,c)) with a*c <= 2*cap
-    and 0 <= b < c <= 2*cap, hence inside this window for cap <= 8, so
-    the scan finds each class at least once (and usually many times).
+    The window holds a triangle of every class of area <= cap with k
+    interior points for k = 0 up to cap 6 and for k >= 1 up to cap 8
+    (checked against the full triple scan), so the scan finds each class
+    at least once (and usually many times).  Beyond that it misses
+    classes: an edge in the window has lattice length at most 12, and at
+    k = 0 the classes with a longer edge, such as conv(o, (1,0), (0,16)),
+    have area only half that length, so cap 7 misses 2 and cap 8 misses 4.
     """
+    if cap > (6 if k == 0 else 8):
+        raise ValueError(f"the window does not hold every class at "
+                         f"k={k}, cap={cap}")
     seen = set()
     pts = [(x, y) for x in range(13) for y in range(13)]
     for q in pts:
@@ -48,22 +58,53 @@ def brute_force_classes(k, cap):
     return seen
 
 
-def full_triple_scan(k, cap):
-    """Oracle: every Hermite-shaped (a, b, c) with ac <= 2 cap whose
-    triangle conv(o, (a,0), (b,c)) has k interior points by Pick, with no
-    pair (a, c) skipped, in the census's scan order."""
-    return [(a, b, c)
-            for a in range(1, 2 * cap + 1)
-            for c in range(1, 2 * cap // a + 1)
-            for b in range(c)
-            if a * c - a - gcd(b, c) - gcd(b - a, c) + 2 == 2 * k]
+def shortest_base_and_mirror(triple):
+    """The census's rule: the base a is a shortest edge of conv(o, (a,0),
+    (b,c)), and b is at most its mirror's (a - b) % c."""
+    a, b, c = triple
+    return a <= gcd(b, c) and a <= gcd(b - a, c) and b <= (a - b) % c
+
+
+def oracle_caps(k):
+    return (4 * (k + 1), 2 * (k + 1), 6 * (k + 1) + 3)
 
 
 class TestEnumerateTriangles:
     @pytest.mark.parametrize("k", range(21))
     def test_skipped_pairs_have_no_triangle(self, k):
-        for cap in (4 * (k + 1), 2 * (k + 1), 6 * (k + 1) + 3):
-            assert list(_pick_triples(k, cap)) == full_triple_scan(k, cap)
+        for cap in oracle_caps(k):
+            assert list(_pick_triples(k, cap)) == [
+                t for t in census_oracle.full_triple_scan(k, cap)
+                if shortest_base_and_mirror(t)]
+
+    @pytest.mark.parametrize("k", range(21))
+    def test_census_matches_full_scan_oracle(self, k):
+        for cap in oracle_caps(k):
+            assert enumerate_triangles(k, cap) == census_oracle.census(k, cap)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda k: st.tuples(
+        st.just(k), st.integers(2 * (k + 1), 8 * (k + 1) + 8))))
+    def test_census_matches_full_scan_oracle_fuzz(self, k_cap):
+        assert enumerate_triangles(*k_cap) == census_oracle.census(*k_cap)
+
+    @pytest.mark.parametrize("k", range(0, 21, 4))
+    def test_first_triple_of_each_class_passes_the_rule(self, k):
+        for cap in oracle_caps(k):
+            first = census_oracle.first_triples(k, cap)
+            assert all(map(shortest_base_and_mirror, first.values()))
+
+    @pytest.mark.parametrize("k, checked", [(1, 5), (31, 55)])
+    def test_cross_check_count(self, k, checked, monkeypatch):
+        calls = []
+
+        def counting(s, limit=None):
+            calls.append(1)
+            return interior_points(s, limit=limit)
+
+        monkeypatch.setattr(survey, "interior_points", counting)
+        enumerate_triangles(k)
+        assert len(calls) == checked
 
     def test_k0(self):
         census = enumerate_triangles(0)
@@ -114,6 +155,11 @@ class TestEnumerateTriangles:
         census = enumerate_triangles(k, cap=cap)
         keys = {canonical_form(t).key() for t in census.representatives}
         assert keys == brute_force_classes(k, cap)
+
+    @pytest.mark.parametrize("k, cap", [(0, 7), (1, 9)])
+    def test_window_scan_oracle_refuses_caps_it_cannot_hold(self, k, cap):
+        with pytest.raises(ValueError):
+            brute_force_classes(k, cap)
 
     def test_scott_bound_consistency(self):
         # for k >= 1 every class except conv(o,3e1,3e2) has area <= 2(k+1)
