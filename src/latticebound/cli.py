@@ -178,11 +178,9 @@ def cmd_canon(args):
 
 
 def cmd_survey2d(args):
-    from .survey import enumerate_triangles, filter_one_relint_facet
+    from .survey import enumerate_triangles
 
-    census = enumerate_triangles(args.k, args.cap)
-    if args.filter:
-        census = filter_one_relint_facet(census)
+    census = enumerate_triangles(args.k, args.cap, one_relint_edge=args.filter)
     if args.json:
         _emit({
             "schemaVersion": SCHEMA_VERSION,
@@ -233,85 +231,107 @@ def cmd_report(args):
     return EXIT_OK if sound else EXIT_VERIFICATION
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_input(p):
+    p.add_argument("--input", default=None,
+                   help="simplex record file (default: stdin)")
+
+
+def _add_json(p):
+    p.add_argument("--json", action="store_true")
+
+
+def _construct_args(p):
+    p.add_argument("what", choices=["zpw", "t", "exceptional", "lift"])
+    p.add_argument("--dim", type=_int_in_range(1), default=3)
+    p.add_argument("--k", type=_int_in_range(0), default=1)
+    _add_input(p)
+
+
+def _count_args(p):
+    p.add_argument("what", choices=["interior", "relint"])
+    p.add_argument("--facet", type=int, default=None,
+                   help="index of the omitted vertex")
+    _add_input(p)
+
+
+def _bound_args(p):
+    p.add_argument("what", choices=["facet", "pikhurko", "tau", "vdc"])
+    p.add_argument("--facet", type=int, default=None)
+    _add_input(p)
+    _add_json(p)
+
+
+def _certify_args(p):
+    p.add_argument("what", choices=["equality"])
+    p.add_argument("--facet", type=int, default=None)
+    _add_input(p)
+    _add_json(p)
+
+
+def _survey2d_args(p):
+    p.add_argument("--k", type=_int_in_range(0), required=True)
+    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--filter", action="store_true",
+                   help="keep only triangles with a one-relint-point edge")
+    _add_json(p)
+
+
+def _verify_args(p):
+    p.add_argument("what", choices=["main2d"])
+    p.add_argument("--k", type=_int_in_range(0, 3), required=True,
+                   help="at most 3 (desk-scale verification)")
+    p.add_argument("--cap", type=int, default=None)
+    _add_json(p)
+
+
+def _ingest_args(p):
+    p.add_argument("--census", required=True)
+    p.add_argument("--k", type=_int_in_range(0), required=True)
+
+
+def _report_args(p):
+    p.add_argument("what", choices=["outlook"])
+    p.add_argument("--census", required=True)
+    p.add_argument("--k", type=_int_in_range(0), default=2)
+    _add_json(p)
+
+
+# (name, help, function, add-arguments function) of each command
+COMMANDS = (
+    ("construct", "build a named simplex", cmd_construct, _construct_args),
+    ("count", "enumerate lattice points", cmd_count, _count_args),
+    ("bound", "evaluate a volume bound", cmd_bound, _bound_args),
+    ("certify", "equality-case certificate", cmd_certify, _certify_args),
+    ("canon", "canonical form encoding", cmd_canon, _add_input),
+    ("survey2d", "triangle census", cmd_survey2d, _survey2d_args),
+    ("verify", "run a theorem verification", cmd_verify, _verify_args),
+    ("ingest", "validate a census file", cmd_ingest, _ingest_args),
+    ("report", "census statistics report", cmd_report, _report_args),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command or, when ``command`` names one, of that
+    command only: it parses, and rejects, that command's arguments as the
+    whole parser does, and a job builds no subparser it does not run."""
     parser = _Parser(
         prog="latticebound",
         description="Exact volume bounds for lattice simplices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_input(p):
-        p.add_argument("--input", default=None,
-                       help="simplex record file (default: stdin)")
-
-    def add_json(p):
-        p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("construct", help="build a named simplex")
-    p.add_argument("what", choices=["zpw", "t", "exceptional", "lift"])
-    p.add_argument("--dim", type=_int_in_range(1), default=3)
-    p.add_argument("--k", type=_int_in_range(0), default=1)
-    add_input(p)
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("count", help="enumerate lattice points")
-    p.add_argument("what", choices=["interior", "relint"])
-    p.add_argument("--facet", type=int, default=None,
-                   help="index of the omitted vertex")
-    add_input(p)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("bound", help="evaluate a volume bound")
-    p.add_argument("what", choices=["facet", "pikhurko", "tau", "vdc"])
-    p.add_argument("--facet", type=int, default=None)
-    add_input(p)
-    add_json(p)
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("certify", help="equality-case certificate")
-    p.add_argument("what", choices=["equality"])
-    p.add_argument("--facet", type=int, default=None)
-    add_input(p)
-    add_json(p)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("canon", help="canonical form encoding")
-    add_input(p)
-    p.set_defaults(func=cmd_canon)
-
-    p = sub.add_parser("survey2d", help="triangle census")
-    p.add_argument("--k", type=_int_in_range(0), required=True)
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--filter", action="store_true",
-                   help="keep only triangles with a one-relint-point edge")
-    add_json(p)
-    p.set_defaults(func=cmd_survey2d)
-
-    p = sub.add_parser("verify", help="run a theorem verification")
-    p.add_argument("what", choices=["main2d"])
-    p.add_argument("--k", type=_int_in_range(0, 3), required=True,
-                   help="at most 3 (desk-scale verification)")
-    p.add_argument("--cap", type=int, default=None)
-    add_json(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("ingest", help="validate a census file")
-    p.add_argument("--census", required=True)
-    p.add_argument("--k", type=_int_in_range(0), required=True)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("report", help="census statistics report")
-    p.add_argument("what", choices=["outlook"])
-    p.add_argument("--census", required=True)
-    p.add_argument("--k", type=_int_in_range(0), default=2)
-    add_json(p)
-    p.set_defaults(func=cmd_report)
-
+    names = {name for name, *_ in COMMANDS}
+    for name, summary, func, add_arguments in COMMANDS:
+        if command not in names or name == command:
+            p = sub.add_parser(name, help=summary)
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         cap = getattr(args, "cap", None)

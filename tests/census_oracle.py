@@ -5,13 +5,17 @@ The census scans only the triples whose base is a shortest edge and whose
 b is at most its mirror's; this oracle scans every Hermite-shaped triple
 (a, b, c) with ac <= 2 cap whose triangle has k interior points by Pick,
 in the same order, keeps the first triangle of each canonical class and
-must give an equal ``TriangleCensus``.
+must give an equal ``TriangleCensus``.  With ``one_relint_edge`` it keeps
+the classes whose representative has a facet with one relative-interior
+point by ``qualifying_facets``, an FM sweep per edge, where the census
+reads edge lengths off gcds.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from latticebound import LatticeSimplex, canonical_form, volume
+from latticebound import (LatticeSimplex, canonical_form,
+                          qualifying_facets, volume)
 from latticebound.survey import TriangleCensus
 
 
@@ -35,11 +39,14 @@ def first_triples(k, cap):
     return first
 
 
-def census(k, cap):
+def census(k, cap, one_relint_edge=False):
     """The census the way ``enumerate_triangles`` built it over every
-    Pick triple: first triangle of each class, classes in key order."""
+    Pick triple: first triangle of each class, classes in key order; with
+    ``one_relint_edge``, only the classes with a qualifying facet."""
     reps = tuple(LatticeSimplex([(0, 0), (a, 0), (b, c)])
                  for _, (a, b, c) in sorted(first_triples(k, cap).items()))
+    if one_relint_edge:
+        reps = tuple(t for t in reps if qualifying_facets(t))
     areas = [volume(t) for t in reps]
     max_area = max(areas, default=Fraction(0))
     maximizers = tuple(t for t, area in zip(reps, areas) if area == max_area)

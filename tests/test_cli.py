@@ -10,8 +10,10 @@ import pytest
 import latticebound
 from latticebound import (LatticeSimplex, format_simplex, t_simplex,
                           zpw_simplex)
+from latticebound import cli
 from latticebound.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION,
-                              _read_simplices, main)
+                              UsageError, _read_simplices, build_parser, main)
+from test_package import COMMANDS as GOLDEN_COMMANDS
 
 S21 = "2\n0 0\n2 0\n0 4\n"
 S32 = "3\n0 0 0\n2 0 0\n0 3 0\n0 0 18\n"
@@ -269,6 +271,37 @@ class TestIngestReport:
         assert len(payload["details"]) == 10
 
 
+OUT_OF_RANGE = [
+    ["survey2d", "--k", "-1"],
+    ["survey2d", "--k", "1", "--cap", "3"],
+    ["verify", "main2d", "--k", "-1"],
+    ["verify", "main2d", "--k", "1", "--cap", "3"],
+    ["ingest", "--census", "CENSUS", "--k", "-1"],
+    ["report", "outlook", "--census", "CENSUS", "--k", "-1"],
+    ["survey2d", "--k", "x"],
+]
+FACET_ARGVS = [
+    ["count", "relint"],
+    ["bound", "facet"],
+    ["bound", "vdc"],
+    ["certify", "equality"],
+]
+NOT_UTF8 = [
+    ["count", "interior", "--input", "FILE"],
+    ["ingest", "--census", "FILE", "--k", "2"],
+    ["report", "outlook", "--census", "FILE"],
+]
+MALFORMED = [
+    ["ingest", "--census", "FILE", "--k", "2"],
+    ["report", "outlook", "--census", "FILE"],
+]
+USAGE = ([["frobnicate"], ["survey2d"], ["--help"], ["count", "interior"],
+          ["construct", "zpw", "--dim", "0"], ["bound", "facet", "--facet", "2"]]
+         + OUT_OF_RANGE + [argv + ["--facet", facet] for argv in FACET_ARGVS
+                           for facet in ("-1", "4")]
+         + NOT_UTF8 + MALFORMED)
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"], capsys=capsys)[0] == EXIT_USAGE
@@ -290,15 +323,7 @@ class TestUsage:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "--dim" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ["survey2d", "--k", "-1"],
-        ["survey2d", "--k", "1", "--cap", "3"],
-        ["verify", "main2d", "--k", "-1"],
-        ["verify", "main2d", "--k", "1", "--cap", "3"],
-        ["ingest", "--census", "CENSUS", "--k", "-1"],
-        ["report", "outlook", "--census", "CENSUS", "--k", "-1"],
-        ["survey2d", "--k", "x"],
-    ])
+    @pytest.mark.parametrize("argv", OUT_OF_RANGE)
     def test_out_of_range_is_usage(self, capsys, argv, sample_census_path):
         argv = [sample_census_path if a == "CENSUS" else a for a in argv]
         code, out, err = run(argv, capsys=capsys)
@@ -307,12 +332,7 @@ class TestUsage:
         assert argv[-2] in err and "Traceback" not in err
 
     @pytest.mark.parametrize("facet", ["-1", "4"])
-    @pytest.mark.parametrize("argv", [
-        ["count", "relint"],
-        ["bound", "facet"],
-        ["bound", "vdc"],
-        ["certify", "equality"],
-    ])
+    @pytest.mark.parametrize("argv", FACET_ARGVS)
     def test_facet_out_of_range_is_usage(self, capsys, monkeypatch, argv,
                                          facet):
         code, out, err = run(argv + ["--facet", facet], stdin=S32,
@@ -334,11 +354,7 @@ class TestUsage:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ["count", "interior", "--input", "FILE"],
-        ["ingest", "--census", "FILE", "--k", "2"],
-        ["report", "outlook", "--census", "FILE"],
-    ])
+    @pytest.mark.parametrize("argv", NOT_UTF8)
     def test_input_that_is_not_utf8_is_usage(self, capsys, tmp_path, argv):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"\xff\xfe")
@@ -348,10 +364,7 @@ class TestUsage:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "decode" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ["ingest", "--census", "FILE", "--k", "2"],
-        ["report", "outlook", "--census", "FILE"],
-    ])
+    @pytest.mark.parametrize("argv", MALFORMED)
     def test_malformed_census_is_usage(self, capsys, tmp_path, argv):
         # the ParseError is raised inside text, which the CLI loads lazily:
         # in-process and in a fresh interpreter alike it exits 2
@@ -363,6 +376,46 @@ class TestUsage:
         proc = python_m_latticebound(argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             EXIT_USAGE, "", expected)
+
+
+def parsed(parser, argv, capsys):
+    """What ``parse_args`` makes of argv: the namespace, the usage error,
+    or the exit code with what was printed (``--help``)."""
+    try:
+        return vars(parser.parse_args(argv))
+    except UsageError as exc:
+        return str(exc)
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", USAGE + [
+    argv for argv, _ in GOLDEN_COMMANDS.values()] + [
+    [name, "--help"] for name, *_ in cli.COMMANDS])
+def test_one_subparser_parses_as_every_subparser(argv, capsys, monkeypatch):
+    """The parser a job builds, with only the subparser its first argument
+    names, gives the namespace, the error text and the help of the parser
+    of every command."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["CENSUS" if a is None else a for a in argv]
+    every = parsed(build_parser(), argv, capsys)
+    assert parsed(build_parser(argv[0]), argv, capsys) == every
+
+
+def test_a_job_builds_only_its_subparser(capsys, monkeypatch):
+    built = []
+
+    def spy(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert run(["canon"], stdin=S32, capsys=capsys,
+               monkeypatch=monkeypatch)[0] == EXIT_OK
+    assert run(["frobnicate"], capsys=capsys)[0] == EXIT_USAGE
+    assert built == ["canon", "frobnicate"]
+    with pytest.raises(UsageError, match="invalid choice: 'count'"):
+        build_parser("canon").parse_args(["count", "interior"])
 
 
 def src_env():

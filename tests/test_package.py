@@ -129,6 +129,7 @@ COMMANDS = {
     "canon": (["canon"], S32),
     "survey2d": (["survey2d", "--k", "1", "--filter", "--json"], ""),
     "survey2d-text": (["survey2d", "--k", "3"], ""),
+    "survey2d-filter-text": (["survey2d", "--k", "12", "--filter"], ""),
     "verify": (["verify", "main2d", "--k", "1", "--json"], ""),
     "ingest": (["ingest", "--census", None, "--k", "2"], ""),
     "report": (["report", "outlook", "--census", None, "--k", "2", "--json"], ""),
@@ -146,6 +147,7 @@ UNLOADED = {
     "canon": {"bounds", "survey", "io"},
     "survey2d": {"bounds", "io", "constructions", "text"},
     "survey2d-text": {"bounds", "io", "constructions"},
+    "survey2d-filter-text": {"bounds", "io", "constructions"},
     "verify": {"bounds", "io", "text"},
     "report": {"constructions"},
     "report-text": {"constructions"},

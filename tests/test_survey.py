@@ -19,13 +19,14 @@ from latticebound import (
     filter_one_relint_facet,
     interior_points,
     pikhurko,
+    qualifying_facets,
     t_simplex,
     verify_theorem_main_2d,
     volume,
     zpw_simplex,
 )
 from latticebound import survey
-from latticebound.survey import _pick_triples
+from latticebound.survey import _edge_lengths, _pick_triples
 
 F = Fraction
 
@@ -69,13 +70,34 @@ def oracle_caps(k):
     return (4 * (k + 1), 2 * (k + 1), 6 * (k + 1) + 3)
 
 
+def has_length_2_edge(triple):
+    """An edge of conv(o, (a,0), (b,c)) has lattice length 2."""
+    a, b, c = triple
+    return 2 in (a, gcd(b, c), gcd(b - a, c))
+
+
+def cross_checks(monkeypatch, k, **options):
+    """The interior-point cross-checks ``enumerate_triangles`` makes."""
+    calls = []
+
+    def counting(s, limit=None):
+        calls.append(1)
+        return interior_points(s, limit=limit)
+
+    monkeypatch.setattr(survey, "interior_points", counting)
+    enumerate_triangles(k, **options)
+    return len(calls)
+
+
 class TestEnumerateTriangles:
     @pytest.mark.parametrize("k", range(21))
     def test_skipped_pairs_have_no_triangle(self, k):
         for cap in oracle_caps(k):
-            assert list(_pick_triples(k, cap)) == [
-                t for t in census_oracle.full_triple_scan(k, cap)
-                if shortest_base_and_mirror(t)]
+            scan = [t for t in census_oracle.full_triple_scan(k, cap)
+                    if shortest_base_and_mirror(t)]
+            assert list(_pick_triples(k, cap)) == scan
+            assert list(_pick_triples(k, cap, True)) == list(
+                filter(has_length_2_edge, scan))
 
     @pytest.mark.parametrize("k", range(21))
     def test_census_matches_full_scan_oracle(self, k):
@@ -88,6 +110,19 @@ class TestEnumerateTriangles:
     def test_census_matches_full_scan_oracle_fuzz(self, k_cap):
         assert enumerate_triangles(*k_cap) == census_oracle.census(*k_cap)
 
+    @pytest.mark.parametrize("k", range(41))
+    def test_prefiltered_census_matches_filtered_oracle(self, k):
+        for cap in oracle_caps(k):
+            assert enumerate_triangles(k, cap, one_relint_edge=True) == (
+                census_oracle.census(k, cap, one_relint_edge=True))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda k: st.tuples(
+        st.just(k), st.integers(2 * (k + 1), 8 * (k + 1) + 8))))
+    def test_prefiltered_census_matches_filtered_oracle_fuzz(self, k_cap):
+        assert enumerate_triangles(*k_cap, one_relint_edge=True) == (
+            census_oracle.census(*k_cap, one_relint_edge=True))
+
     @pytest.mark.parametrize("k", range(0, 21, 4))
     def test_first_triple_of_each_class_passes_the_rule(self, k):
         for cap in oracle_caps(k):
@@ -96,15 +131,11 @@ class TestEnumerateTriangles:
 
     @pytest.mark.parametrize("k, checked", [(1, 5), (31, 55)])
     def test_cross_check_count(self, k, checked, monkeypatch):
-        calls = []
+        assert cross_checks(monkeypatch, k) == checked
 
-        def counting(s, limit=None):
-            calls.append(1)
-            return interior_points(s, limit=limit)
-
-        monkeypatch.setattr(survey, "interior_points", counting)
-        enumerate_triangles(k)
-        assert len(calls) == checked
+    @pytest.mark.parametrize("k, checked", [(1, 3), (31, 38)])
+    def test_prefiltered_cross_check_count(self, k, checked, monkeypatch):
+        assert cross_checks(monkeypatch, k, one_relint_edge=True) == checked
 
     def test_k0(self):
         census = enumerate_triangles(0)
@@ -196,6 +227,24 @@ class TestFilter:
             equivalent(t, t_simplex(2)) for t in filtered.representatives
         )
 
+    @pytest.mark.parametrize("k", range(41))
+    def test_edge_gcds_agree_with_qualifying_facets(self, k):
+        census = enumerate_triangles(k)
+        filtered = filter_one_relint_facet(census)
+        assert filtered.representatives == tuple(
+            t for t in census.representatives if qualifying_facets(t))
+        assert filtered == enumerate_triangles(k, one_relint_edge=True)
+
+    def test_edge_lengths_of_any_triangle(self):
+        # the edges of conv((1,1), (5,3), (2,-1)) are (4,2), (1,-2), (-3,-4)
+        assert _edge_lengths((1, 1), (5, 3), (2, -1)) == (2, 1, 1)
+        tris = (LatticeSimplex([(1, 1), (5, 3), (2, -1)]),
+                LatticeSimplex([(1, 1), (4, 3), (3, 0)]))
+        filtered = filter_one_relint_facet(
+            survey.TriangleCensus(0, tris, F(0), (), 2))
+        assert filtered.representatives == tuple(
+            t for t in tris if qualifying_facets(t)) == tris[:1]
+
     def test_sizes(self):
         sizes = {
             k: len(
@@ -229,10 +278,11 @@ from latticebound import VerificationError
 
 assert False, "asserts must be stripped"
 survey.interior_points = lambda s, limit=None: [(0, 0)] * 5
-try:
-    survey.enumerate_triangles(1)
-except VerificationError as exc:
-    print("VerificationError:", exc)
+for one_relint_edge in (False, True):
+    try:
+        survey.enumerate_triangles(1, one_relint_edge=one_relint_edge)
+    except VerificationError as exc:
+        print("VerificationError:", exc)
 """
 
 
@@ -247,5 +297,5 @@ def test_cross_check_survives_dash_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        "VerificationError: Pick and direct interior counts disagree\n"
+        "VerificationError: Pick and direct interior counts disagree\n" * 2
     )
