@@ -25,8 +25,9 @@ sign of the eliminated coefficient once, and that split is the level
 the sweep reads for the coordinate.
 
 ``qualifying_facets``, the facets with exactly one relative-interior
-lattice point, lives here as a face query: ``bounds`` re-exports it, and
-``survey`` filters by it without loading ``bounds``.
+lattice point, lives here as a face query, and ``bounds`` re-exports it.
+``survey`` does not call it: a triangle's edge has one relative-interior
+point when its lattice length, a gcd, is 2.
 """
 
 from __future__ import annotations

@@ -144,21 +144,12 @@ def fork_map(fn, items) -> list:
     as in the serial map.  Serial without ``os.fork``.  ``outlook_report``
     calls it once per census, and each call of fn there computes a
     record's census facts and its analysis, so the census checks' work is
-    split over the workers too.
-
-    Before forking, ``gc.freeze()`` moves every object then alive into the
-    permanent generation: no collection in a child walks those objects,
-    so the children write to fewer shared pages.  Once the children are
-    reaped the freeze is undone here, unless the caller had frozen objects
-    already, so every object alive at the call is collectable again."""
+    split over the workers too."""
     w = _worker_count(len(items))
     if w == 1 or not hasattr(os, "fork"):
         return list(map(fn, items))
-    import gc
     import pickle
 
-    thawed = not gc.get_freeze_count()
-    gc.freeze()
     children, shares = [], []
     try:
         for i in range(1, w):
@@ -188,8 +179,6 @@ def fork_map(fn, items) -> list:
 
                 os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-        if thawed:
-            gc.unfreeze()
     if failed := [share for share in shares if isinstance(share, tuple)]:
         raise min(failed)[1]
     return [shares[j % w][j // w] for j in range(len(items))]

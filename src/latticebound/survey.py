@@ -1,27 +1,33 @@
 """Exhaustive enumeration of lattice triangles with k interior points.
 
 Triangles are enumerated in Hermite-shaped coordinates conv(o, (a,0),
-(b,c)) and deduplicated by canonical form, so each unimodular equivalence
-class with area at most the cap appears exactly once.  Pick's formula
-picks the candidates, and rules out whole pairs (a, c) by divisor sums.
+(b,c)) with 0 <= b < c, and each unimodular equivalence class with area
+at most the cap appears exactly once: as its first triple in scan order,
+least a and then least b.  That triple read as the HNF [[a, b], [0, c]]
+is the class's canonical form, so sorting the triples sorts the classes
+by canonical key.
 
-Every edge of a triangle gives its class Hermite triples: put the edge on
-the x-axis from o and shear the third vertex into 0 <= b < c.  The base a
-is that edge's lattice length and ac = 2 * area, so a fixes c.  The census
-keeps the first triple of each class in scan order, least a and then
-least b.  Its base is therefore a shortest edge, a <= gcd(b, c) and
-a <= gcd(b - a, c), and its b is at most its mirror's: x -> a - x maps
-(a, b, c) to (a, (a - b) % c, c), a triple of the same class with the same
-a and c.  So the scan skips every triple that fails either test, and the
-census stays the one the full scan gives.
+Every edge gives its class one triple from each end: put the edge on the
+x-axis from that end and shear the third vertex into 0 <= b < c.  The
+base a is the edge's lattice length and ac = 2 * area, so a fixes c, and
+the least a is a shortest edge: a <= gcd(b, c) and a <= gcd(b - a, c).
+The base gives b from o and (a - b) % c from (a,0), since x -> a - x
+swaps its ends.  Another edge of length a runs from o to (x, c) with
+x = b, or, once x -> a - x has swapped o and (a,0), with x = a - b.  The
+rows (s, t) and (c/a, -x/a), where s x/a + t c/a = 1, map (x, c) to
+(a, 0) and (a, 0) to (s a, c), so that edge gives y = a (x/a)^-1 mod c/a
+from o and (a - y) % c from its other end.  ``_least_b`` is the least
+of these, and a triple is the first of its class when its base is a
+shortest edge and b is ``_least_b``.  Pick's equation, 2k = ac + 2 minus
+the three edge lengths, picks the triples with k interior points.
 
 An edge's lattice length is the gcd of its vector's coordinates, and its
 relative interior holds one point fewer, so a triangle has an edge with
 exactly one relative-interior point when 2 is among its edge lengths.
 Unimodular maps keep lattice lengths, so every triple of a class has the
-same edge lengths: the pre-filtered scan (``one_relint_edge``) keeps all
-the triples of a class with such an edge, its first one included, and
-none of the others, and gives the full census filtered by that test.
+same edge lengths: the pre-filtered scan (``one_relint_edge``) keeps the
+first triple of each class with such an edge and none of the others, and
+gives the full census filtered by that test.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .geometry import LatticeSimplex, _frozen, check, interior_points, volume
-from .unimodular import canonical_form, equivalent
 
 
 @_frozen
@@ -50,26 +55,23 @@ def _edge_lengths(p, q, r):
     return gcd(qx - px, qy - py), gcd(rx - px, ry - py), gcd(rx - qx, ry - qy)
 
 
-def _pick_interior_count(a, b, c):
-    """Interior lattice points of conv(o,(a,0),(b,c)) via Pick's theorem."""
-    twice_area = a * c
-    boundary = sum(_edge_lengths((0, 0), (a, 0), (b, c)))
-    interior2 = twice_area - boundary + 2
-    check(interior2 % 2 == 0, "Pick count is not integral")
-    return interior2 // 2
+def _least_b(a, b, c):
+    """The least b of the triples of conv(o, (a,0), (b,c)) with base a,
+    taken from its edges of lattice length a (module docstring)."""
+    ys = [b] + [a * pow(x // a, -1, c // a) for x in (b, a - b)
+                if gcd(x, c) == a]
+    return min(min(y, (a - y) % c) for y in ys)
 
 
 def _pick_triples(k, cap, one_relint_edge=False):
-    """(a, b, c) in scan order with 0 <= b < c, ac <= 2 cap and k interior
-    points in conv(o, (a,0), (b,c)) by Pick, whose base is a shortest edge
-    (a <= gcd(b, c), a <= gcd(b - a, c)) and whose b is at most its
-    mirror's (b <= (a - b) % c).  The first triple of each class in scan
-    order passes both tests (module docstring).  Since a <= gcd(b, c) <= c,
-    a stops at isqrt(2 cap) and c starts at a.  Both gcds in gcd(b, c) +
-    gcd(b - a, c) = ac - a + 2 - 2k divide c, so the b loop runs only when
-    the right-hand side is a sum of two divisors of c.  With
-    ``one_relint_edge``, only the triples with an edge of lattice length 2
-    are yielded; the shortest edge a is then at most 2.
+    """The first triple (a, b, c) of each class with area <= cap and k
+    interior points, in scan order (a, then c, then b): its edge lengths
+    a, gcd(b, c) and gcd(b - a, c) sum to ac + 2 - 2k (Pick), a is the
+    least of them and b is ``_least_b``.  Since a <= gcd(b, c) <= c, a
+    stops at isqrt(2 cap) and c starts at a.  Both gcds divide c, so the
+    b loop runs only when ac - a + 2 - 2k is a sum of two divisors of c.
+    With ``one_relint_edge``, only the triples with an edge of lattice
+    length 2 are yielded; the shortest edge a is then at most 2.
     """
     divisors = [[] for _ in range(2 * cap + 1)]
     for x in range(1, 2 * cap + 1):
@@ -79,12 +81,12 @@ def _pick_triples(k, cap, one_relint_edge=False):
     for a in range(1, (2 if one_relint_edge else isqrt(2 * cap)) + 1):
         for c in range(a, (2 * cap) // a + 1):
             if a * c - a + 2 - 2 * k in sums[c]:
-                yield from ((a, b, c) for b in range(c)
-                            if a <= gcd(b, c) and a <= gcd(b - a, c)
-                            and b <= (a - b) % c
-                            and _pick_interior_count(a, b, c) == k
-                            and (not one_relint_edge or 2 in _edge_lengths(
-                                (0, 0), (a, 0), (b, c))))
+                for b in range(c):
+                    edges = _edge_lengths((0, 0), (a, 0), (b, c))
+                    if (sum(edges) == a * c + 2 - 2 * k and min(edges) == a
+                            and b == _least_b(a, b, c)
+                            and (not one_relint_edge or 2 in edges)):
+                        yield a, b, c
 
 
 def _maximizers(reps):
@@ -111,16 +113,12 @@ def enumerate_triangles(k: int, cap: int | None = None, *,
         cap = 4 * (k + 1)
     if cap < 2 * (k + 1):
         raise ValueError("cap must be at least 2(k+1)")
-    seen = {}
-    for a, b, c in _pick_triples(k, cap, one_relint_edge):
-        tri = LatticeSimplex([(0, 0), (a, 0), (b, c)])
+    reps = tuple(LatticeSimplex([(0, 0), (a, 0), (b, c)])
+                 for a, b, c in sorted(_pick_triples(k, cap, one_relint_edge)))
+    for tri in reps:
         # Cross-check Pick against direct enumeration.
         direct = len(interior_points(tri, limit=k + 1))
         check(direct == k, "Pick and direct interior counts disagree")
-        key = canonical_form(tri).key()
-        if key not in seen:
-            seen[key] = tri
-    reps = tuple(seen[key] for key in sorted(seen))
     return TriangleCensus(k, reps, *_maximizers(reps), cap)
 
 
@@ -139,6 +137,7 @@ def verify_theorem_main_2d(k: int, cap: int | None = None) -> dict:
     if k > 3:
         raise ValueError("desk-scale verification is limited to k <= 3")
     from .constructions import zpw_simplex
+    from .unimodular import equivalent
 
     census = enumerate_triangles(k, cap)
     filtered = filter_one_relint_facet(census)

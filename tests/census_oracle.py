@@ -1,8 +1,8 @@
 """The triangle census over every Pick triple, kept as the oracle for
 ``latticebound.survey.enumerate_triangles``.
 
-The census scans only the triples whose base is a shortest edge and whose
-b is at most its mirror's; this oracle scans every Hermite-shaped triple
+The census yields only the first triple of each class, read off its
+edges by ``_least_b``; this oracle scans every Hermite-shaped triple
 (a, b, c) with ac <= 2 cap whose triangle has k interior points by Pick,
 in the same order, keeps the first triangle of each canonical class and
 must give an equal ``TriangleCensus``.  With ``one_relint_edge`` it keeps

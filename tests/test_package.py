@@ -145,9 +145,9 @@ UNLOADED = {
     "count-interior": {"bounds", "survey", "io"},
     "count-relint": {"io"},
     "canon": {"bounds", "survey", "io"},
-    "survey2d": {"bounds", "io", "constructions", "text"},
-    "survey2d-text": {"bounds", "io", "constructions"},
-    "survey2d-filter-text": {"bounds", "io", "constructions"},
+    "survey2d": {"bounds", "io", "constructions", "text", "unimodular"},
+    "survey2d-text": {"bounds", "io", "constructions", "unimodular"},
+    "survey2d-filter-text": {"bounds", "io", "constructions", "unimodular"},
     "verify": {"bounds", "io", "text"},
     "report": {"constructions"},
     "report-text": {"constructions"},
