@@ -23,12 +23,12 @@ from .exact import _rat, det, mat_vec, primitive_direction
 from .geometry import (
     Face,
     LatticeSimplex,
+    _barycentric_map,
     _cached,
     _frozen,
     barycentric,
     check,
     collinear,
-    hrep,
     integer_points,
     interior_points,
     qualifying_facets,
@@ -233,14 +233,10 @@ def proof_trace(s: LatticeSimplex, f: Face) -> ProofTrace:
     betas = facet_bound(s, f).betas
     # phi, the inverse of the edge matrix at the vertex v0 opposite the
     # facet, maps x - v0 to the barycentric coordinates of x at the facet
-    # vertices.  v0 lies on facet j of hrep for every facet vertex j, so
-    # the row of vertex j is -a_j / (b_j - a_j v_j).
-    h = hrep(s)
-    phi = []
-    for j in f.vertex_indices:
-        aj, vj = h.a[j], s.vertices[j]
-        scale = h.b[j] - sum(c * vc for c, vc in zip(aj, vj))
-        phi.append(tuple(Fraction(-c, scale) for c in aj))
+    # vertices.  That of vertex j, (w_j x - r_j) / det E, is 0 at v0, so
+    # the row of vertex j is w_j / det E.
+    w, _, det_e = _barycentric_map(s)
+    phi = [tuple(Fraction(c, det_e) for c in w[j]) for j in f.vertex_indices]
     lat = Lattice(tuple(phi))
     y_set = lat.points_in_open_box(betas)
     # o-symmetry and the half-space split along sum of coordinates.

@@ -242,7 +242,9 @@ def _add_json(p):
 
 def _construct_args(p):
     p.add_argument("what", choices=["zpw", "t", "exceptional", "lift"])
-    p.add_argument("--dim", type=_int_in_range(1), default=3)
+    p.add_argument("--dim", type=_int_in_range(1, 14), default=3,
+                   help="at most 14 (from 15 on, the volume has more than "
+                        "the 4300 digits Python prints)")
     p.add_argument("--k", type=_int_in_range(0), default=1)
     _add_input(p)
 

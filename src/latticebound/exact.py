@@ -77,15 +77,10 @@ def _bareiss(a, n) -> int:
 
 
 def _adjugate(m) -> tuple[list[list[int]] | None, int]:
-    """(adj m, det m) of a square integer matrix m by a Gauss-Jordan pass on
-    [m | I], which ends at [D I | D m^-1]; adj is None when det m is 0.
-    A 2×2 matrix [[a, b], [c, d]] has adj [[d, -b], [-c, a]] and
-    det ad - bc directly."""
+    """(adj m, det m) of a square integer matrix m of any size by one
+    Gauss-Jordan pass on [m | I], which ends at [D I | D m^-1]; adj is
+    None when det m is 0."""
     n = len(m)
-    if n == 2:
-        (a, b), (c, d) = m
-        dm = a * d - b * c
-        return ([[d, -b], [-c, a]] if dm else None), dm
     a = [[*row, *e] for row, e in zip(m, identity(n))]
     sign = _bareiss(a, n)
     adj = [[sign * x for x in row[n:]] for row in a] if sign else None

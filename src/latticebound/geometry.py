@@ -1,28 +1,32 @@
 """Lattice simplices and convex lattice polygons in integer arithmetic.
 
 Provides volumes, H-representations, barycentric coordinates and exact
-enumeration of interior / relative-interior lattice points.  Every face
-query derives from the one integer H-representation ``hrep`` of the
-simplex, whose row j is the facet opposite vertex j: a face with vertex
-set I has the rows j in I strict and the rows j not in I tight.  One
-fraction-free Gauss-Jordan pass gives the edge matrix's adjugate, from
-which ``hrep`` is read, and its determinant; it, the H-representation
-and each face's relative-interior points (the interior points are those
-of the face with every vertex) are computed once per simplex and kept on
-the instance.  A ``Fraction`` is built only for a value that is
-rational, such as a volume or a barycentric coordinate.  The enumeration
-is a recursive coordinate sweep driven by Fourier-Motzkin bounds, so it
-never scans full bounding boxes (those explode doubly exponentially for
-the simplices this library cares about).  The sweep runs on integer
-rows, as in the integer elimination step of Pugh's Omega test: each row
-is scaled once to integers by ``exact.scaled``, a strict row a.x < b
-becomes a.x <= b - 1, every row is divided by the gcd of its
-coefficients with the right-hand side floored, an equality is
-substituted rather than paired, and the bounds of each coordinate are
-floor divisions, so neither the elimination nor the sweep does
-``Fraction`` arithmetic.  Each elimination step splits its rows by the
-sign of the eliminated coefficient once, and that split is the level
-the sweep reads for the coordinate.
+enumeration of interior / relative-interior lattice points.  One
+fraction-free Gauss-Jordan pass on the edge matrix E gives adj E and
+det E, read as the integer barycentric map ``_barycentric_map``: the
+coordinate of vertex j at x is (w_j x - r_j) / det E.  ``barycentric``
+evaluates it, the integer H-representation ``hrep`` is its rows
+gcd-reduced (row j is the facet opposite vertex j),
+``bounds.proof_trace`` reads its map to the standard simplex from it and
+``unimodular._invariants`` its vertex invariants.  Every face query
+derives from ``hrep``: a face with vertex set I has the rows j in I
+strict and the rows j not in I tight.  The pass, the map, the
+H-representation and each face's relative-interior points (the interior
+points are those of the face with every vertex) are computed once per
+simplex and kept on the instance.  A ``Fraction`` is built only for a
+value that is rational, such as a volume or a barycentric coordinate.
+The enumeration is a recursive coordinate sweep driven by
+Fourier-Motzkin bounds, so it never scans full bounding boxes (those
+explode doubly exponentially for the simplices this library cares
+about).  The sweep runs on integer rows, as in the integer elimination
+step of Pugh's Omega test: each row is scaled once to integers by
+``exact.scaled``, a strict row a.x < b becomes a.x <= b - 1, every row
+is divided by the gcd of its coefficients with the right-hand side
+floored, an equality is substituted rather than paired, and the bounds
+of each coordinate are floor divisions, so neither the elimination nor
+the sweep does ``Fraction`` arithmetic.  Each elimination step splits
+its rows by the sign of the eliminated coefficient once, and that split
+is the level the sweep reads for the coordinate.
 
 ``qualifying_facets``, the facets with exactly one relative-interior
 lattice point, lives here as a face query, and ``bounds`` re-exports it.
@@ -375,21 +379,19 @@ def volume(s: LatticeSimplex) -> Fraction:
 def barycentric(x, f: Face) -> list[Fraction]:
     """Barycentric coordinates of x with respect to the face f.
 
-    Row j of ``hrep`` is the facet opposite vertex j, so the coordinate
-    of vertex j is (b_j - a_j x) / (b_j - a_j v_j).  x lies in aff(f)
-    iff it is on every facet through f, which is checked exactly.  x is
-    scaled once to integers, so each coordinate is one ``Fraction``; an x
-    of the wrong length raises ``LinAlgError``.
+    Read off ``_barycentric_map``: the coordinate of vertex j is
+    (w_j x - r_j) / det E.  x lies in aff(f) iff the coordinate of every
+    vertex not in f is 0, which is checked exactly.  x is scaled once to
+    integers, so each coordinate is one ``Fraction``; an x of the wrong
+    length raises ``LinAlgError``.
     """
-    h = hrep(f.parent)
+    w, r, det_e = _barycentric_map(f.parent)
     x, m = scaled(x)
     betas = []
-    for j, (ax, bj) in enumerate(zip(mat_vec(h.a, x), h.b)):
-        slack = bj * m - ax
+    for j, (wx, rj) in enumerate(zip(mat_vec(w, x), r)):
         if j in f.vertex_indices:
-            scale = m * (bj - sum(map(mul, h.a[j], f.parent.vertices[j])))
-            betas.append(Fraction(slack, scale))
-        elif slack != 0:
+            betas.append(Fraction(wx - rj * m, det_e * m))
+        elif wx != rj * m:
             raise HullMembershipError("point is outside the affine hull")
     return betas
 
@@ -433,20 +435,36 @@ def _edge_det(s: LatticeSimplex) -> int:
     return _edge_adjugate(s)[1]
 
 
-def hrep(s: LatticeSimplex) -> HalfspaceSystem:
-    """d+1 integer inequalities; x in s iff all hold, x in int(s) iff all
-    strict.  Row j is the facet opposite vertex j.  With E the edge matrix,
-    its normal is -sign(det E) times row j-1 of adj E for j >= 1 and minus
-    their sum for j = 0; its rhs is read at v_0 (at v_1 for j = 0), and
-    both are divided by their gcd.  Computed once per simplex.
+def _barycentric_map(s: LatticeSimplex) -> tuple:
+    """(w, r, det E): the barycentric coordinate of vertex j at x is
+    (w_j x - r_j) / det E.  Read off adj E, for E the edge matrix: w_j is
+    row j-1 of adj E for j >= 1 and w_0 is minus their sum; r_j = w_j v_0
+    (w_0 v_1 for j = 0), as the coordinate of vertex j is 0 at the other
+    vertices.  Computed once per simplex.
     """
     def compute():
-        adj, d = _edge_adjugate(s)
+        adj, det_e = _edge_adjugate(s)
+        w = [[-sum(col) for col in zip(*adj)], *adj]
+        r = [sum(map(mul, wj, s.vertices[0 if j else 1]))
+             for j, wj in enumerate(w)]
+        return w, r, det_e
+
+    return _cached(s, "barycentric", compute)
+
+
+def hrep(s: LatticeSimplex) -> HalfspaceSystem:
+    """d+1 integer inequalities; x in s iff all hold, x in int(s) iff all
+    strict.  Row j is the facet opposite vertex j, where the barycentric
+    coordinate (w_j x - r_j) / det E of ``_barycentric_map`` is >= 0: it
+    is -sign(det E)·(w_j, r_j) divided by their gcd.  Computed once per
+    simplex.
+    """
+    def compute():
+        w, r, det_e = _barycentric_map(s)
         rows = []
-        for j, row in enumerate([[-sum(col) for col in zip(*adj)], *adj]):
-            rhs = sum(map(mul, row, s.vertices[0 if j else 1]))
-            g = gcd(rhs, *row) if d < 0 else -gcd(rhs, *row)
-            rows.append((tuple(x // g for x in row), rhs // g))
+        for wj, rj in zip(w, r):
+            g = gcd(rj, *wj) if det_e < 0 else -gcd(rj, *wj)
+            rows.append((tuple(x // g for x in wj), rj // g))
         return HalfspaceSystem(*zip(*rows))
 
     return _cached(s, "hrep", compute)

@@ -6,7 +6,7 @@ from math import inf
 from operator import index, mul
 
 from .exact import _hnf_column, _xgcd, det, hnf, identity, mat_vec
-from .geometry import (LatticeSimplex, _cached, _edge_adjugate, _frozen,
+from .geometry import (LatticeSimplex, _barycentric_map, _cached, _frozen,
                        check)
 
 
@@ -182,25 +182,25 @@ def _walk(upper, S, free, cls, pivot, end, best):
 
 
 def _invariants(s: LatticeSimplex) -> list[tuple]:
-    """A unimodular invariant of each vertex, read off adj E.
+    """A unimodular invariant of each vertex, read off the barycentric map.
 
     With V = |det E|, a lattice translation x has barycentric
-    coordinates w(x)/V, where (w_1, ..., w_d) = sign(det E)·adj E·x and
-    w_0 = -(w_1 + ... + w_d).  Over Z^d, w_j takes the values u_j·Z mod
-    V, with u_j = gcd(V, w_j(e_1), ..., w_j(e_d)) the normalized volume
-    of the facet opposite v_j and h_j = V/u_j the lattice height of v_j.
-    An extended-gcd chain gives a translation with w_j ≡ u_j (mod V), and
-    its w is g.  That translation is fixed up to one with w_j ≡ 0, which
-    lies in the facet's lattice and moves every g_i by a multiple of h_j.
-    So vertex j's invariant is (u_j, sorted(g_i mod h_j for i != j)).
-    An affine unimodular map keeps the barycentric coordinates of lattice
-    translations, so it keeps each vertex's invariant.  The factor
-    sign(det E) is left out: without it w(x) reads w(-x), and x -> -x
-    maps Z^d onto itself, so the invariant is the same.
+    coordinates w_j(x)/det E, for w the rows of
+    ``geometry._barycentric_map``.  Over Z^d, w_j takes the values u_j·Z
+    mod V, with u_j = gcd(V, w_j(e_1), ..., w_j(e_d)) the normalized
+    volume of the facet opposite v_j and h_j = V/u_j the lattice height
+    of v_j.  An extended-gcd chain gives a translation with
+    w_j ≡ u_j (mod V), and its w is g.  That translation is fixed up to
+    one with w_j ≡ 0, which lies in the facet's lattice and moves every
+    g_i by a multiple of h_j.  So vertex j's invariant is
+    (u_j, sorted(g_i mod h_j for i != j)).  An affine unimodular map
+    keeps the barycentric coordinates of lattice translations, so it
+    keeps each vertex's invariant.  The sign of det E is left out:
+    w(x)/V reads the coordinates of x or of -x, and x -> -x maps Z^d
+    onto itself, so the invariant is the same.
     """
-    adj, det_e = _edge_adjugate(s)
+    w, _, det_e = _barycentric_map(s)  # w_j(e_k) as w[j][k]
     v = abs(det_e)
-    w = [[-sum(col) for col in zip(*adj)], *adj]  # ±w_j(e_k), as w[j][k]
     out = []
     for j, wj in enumerate(w):
         u, c = v, [0] * len(wj)
@@ -252,11 +252,10 @@ def canonical_form(s: LatticeSimplex) -> CanonicalForm:
                     for i in range(d)]
 
         # Row lists of one shape compare like their flattened entries.
-        if d == 1:
-            form = min(hnf(edges(b)) for b in range(2))
-        elif d == 2:
-            form = min(f for h in map(edges, range(3))
-                       for f in (hnf(h), hnf([r[::-1] for r in h])))
+        # At d = 1 an edge matrix has one ordering, at d = 2 two.
+        if d <= 2:
+            form = min(hnf(m) for h in map(edges, range(d + 1))
+                       for m in (h, [r[::-1] for r in h])[:d])
         else:
             keys = _invariants(s)
             least = min(keys)

@@ -323,6 +323,31 @@ class TestUsage:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "--dim" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("dim", ["15", "40"])
+    @pytest.mark.parametrize("what", ["zpw", "t"])
+    def test_dimension_above_14_is_usage(self, capsys, monkeypatch, what,
+                                         dim):
+        from latticebound import constructions
+
+        def built(*args):
+            raise AssertionError("a simplex was built")
+
+        monkeypatch.setattr(constructions, "zpw_simplex", built)
+        monkeypatch.setattr(constructions, "t_simplex", built)
+        code, out, err = run(["construct", what, "--dim", dim, "--k", "1"],
+                             capsys=capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--dim" in err and "at most 14" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("what", ["zpw", "t"])
+    def test_dimension_14_prints(self, capsys, what):
+        code, out, err = run(["construct", what, "--dim", "14", "--k", "1"],
+                             capsys=capsys)
+        assert code == EXIT_OK and err == ""
+        assert out.startswith("14\n") and "# volume = " in out
+
     @pytest.mark.parametrize("argv", OUT_OF_RANGE)
     def test_out_of_range_is_usage(self, capsys, argv, sample_census_path):
         argv = [sample_census_path if a == "CENSUS" else a for a in argv]

@@ -275,11 +275,16 @@ def all_faces(s):
             yield Face(s, idx)
 
 
-small_simplex = st.integers(1, 3).flatmap(
-    lambda d: st.lists(
-        st.tuples(*[st.integers(-3, 3)] * d), min_size=d + 1, max_size=d + 1
+def simplices(max_d):
+    return st.integers(1, max_d).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(-3, 3)] * d), min_size=d + 1,
+            max_size=d + 1
+        )
     )
-)
+
+
+small_simplex = simplices(3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -313,6 +318,39 @@ def test_face_queries_match_box_scan_oracle(verts):
         assert relint_points(f) == relint
         assert relint_points(f, limit=0) == relint[:1]
 
+
+rational = st.fractions(-4, 4, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(simplices(5), st.data())
+def test_barycentric_map_on_rational_points(verts, data):
+    # Both signs of det E: swapping two vertices flips it.
+    try:
+        pair = [LatticeSimplex(verts),
+                LatticeSimplex([verts[1], verts[0], *verts[2:]])]
+    except DegeneracyError:
+        assume(False)
+    assert _edge_det(pair[0]) == -_edge_det(pair[1])
+    d = len(verts) - 1
+    x = data.draw(st.tuples(*[rational] * d))
+    for s in pair:
+        full = Face(s, tuple(range(d + 1)))
+        lam = oracle_barycentric(x, s.vertices)
+        assert barycentric(x, full) == lam
+        for i, v in enumerate(s.vertices):
+            assert barycentric(v, full) == [int(j == i) for j in range(d + 1)]
+        for f in facets(s):
+            (i,) = set(range(d + 1)) - set(f.vertex_indices)
+            centroid = [F(sum(c), d) for c in zip(*f.vertices)]
+            assert barycentric(centroid, f) == [F(1, d)] * d
+            with pytest.raises(HullMembershipError):
+                barycentric(s.vertices[i], f)
+            if lam[i]:
+                with pytest.raises(HullMembershipError):
+                    barycentric(x, f)
+            else:
+                assert barycentric(x, f) == lam[:i] + lam[i + 1:]
 
 class TestCachedFacts:
     @settings(max_examples=40, deadline=None)
