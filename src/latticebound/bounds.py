@@ -11,6 +11,13 @@ imported here so that ``bounds.qualifying_facets`` names it too.  The
 facet bound is computed once per facet and kept on the simplex, and the
 proof trace and the equality certificate read their relative-interior
 point and barycentric coordinates from it.
+
+The per-record work is in integer arithmetic.  A ``Lattice`` keeps its
+basis as integer rows W and one scale m, and walks the box |W z| < b m;
+the proof trace runs its checks on those integer images and builds its
+``Fraction`` points only for the ``ProofTrace`` it returns.  nu reads the
+integer numerators of the barycentric coordinates off
+``geometry._barycentric_map``, which share the denominator |det E|.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
 
-from .exact import _rat, det, mat_vec, primitive_direction
+from .exact import _rat, det, mat_vec, primitive_direction, scaled
 from .geometry import (
     Face,
     LatticeSimplex,
@@ -41,28 +48,43 @@ class ApplicabilityError(ValueError):
     """The hypotheses of the requested bound do not hold for this input."""
 
 
+def _fraction(x) -> Fraction:
+    """x as a ``Fraction``; a ``Fraction`` is kept, not rebuilt."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def _half_widths(betas) -> tuple[Fraction, ...]:
     """Box half-widths as ``Fraction``s; as in the value classes, an entry
     that is not an ``int`` or a ``Fraction`` raises TypeError."""
     betas = tuple(betas)
     if not all(isinstance(b, (int, Fraction)) for b in betas):
         raise TypeError("box half-widths must be int or Fraction")
-    return tuple(map(Fraction, betas))
+    return tuple(map(_fraction, betas))
 
 
 @_frozen
 class Lattice:
-    """Rank-d lattice generated by the columns of a rational basis matrix."""
+    """Rank-d lattice generated by the columns of a rational basis matrix.
+
+    The basis is kept as integer rows W and one scale m, basis = W / m,
+    so the box walk and the proof trace run in integer arithmetic.
+    """
 
     basis: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        d = det(self.basis)  # a float entry raises LinAlgError
+        # scaled raises LinAlgError on a float entry, det on a ragged basis
+        ints, m = scaled([c for row in self.basis for c in row])
+        it = iter(ints)
+        rows = tuple(tuple(next(it) for _ in row) for row in self.basis)
+        d = det(rows)
         if d == 0:
             raise ValueError("lattice basis is singular")
-        rows = tuple(tuple(map(Fraction, row)) for row in self.basis)
-        object.__setattr__(self, "basis", rows)
-        object.__setattr__(self, "_det", abs(d))
+        basis = tuple(tuple(map(_fraction, row)) for row in self.basis)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_ints", rows)
+        object.__setattr__(self, "_scale", m)
+        object.__setattr__(self, "_det", abs(d) / m ** len(rows))
 
     @property
     def det(self) -> Fraction:
@@ -72,25 +94,39 @@ class Lattice:
     def dim(self) -> int:
         return len(self.basis)
 
+    def _images(self, betas, limit=None) -> list[tuple[int, ...]]:
+        """The points of ``points_in_open_box(betas)`` times the scale m:
+        the integer vectors Y = W z with |Y_i| < betas[i] m, for betas
+        already checked by ``points_in_open_box``.  Computed once per box.
+        """
+        def compute():
+            rows = []
+            for row, b in zip(self._ints, betas):
+                bound = b * self._scale
+                rows.append((row, bound, True))
+                rows.append((tuple(-c for c in row), bound, True))
+            zs = integer_points(rows, self.dim, limit=limit)
+            return [tuple(mat_vec(self._ints, z)) for z in zs]
+
+        return _cached(self, ("images", betas), compute, limit)
+
     def points_in_open_box(self, betas, limit=None):
         """Lattice points y with |y_i| < betas[i] for all i.
 
-        Enumerates integer preimages z with basis . z in the open box,
-        pushing the box constraints back through the basis.  ``limit``
-        truncates as in ``integer_points``; computed once per box.
+        Enumerates integer preimages z with W z in the open box scaled by
+        m, pushing the box constraints back through the integer rows W, and
+        builds one ``Fraction`` per coordinate of each point found.
+        ``limit`` truncates as in ``integer_points``; computed once per box.
         """
         d = self.dim
         betas = _half_widths(betas)
         if len(betas) != d or any(b <= 0 for b in betas):
             raise ValueError("box half-widths must be positive, one per axis")
+        m = self._scale
 
         def compute():
-            rows = []
-            for row, b in zip(self.basis, betas):
-                rows.append((row, b, True))
-                rows.append((tuple(-c for c in row), b, True))
-            zs = integer_points(rows, d, limit=limit)
-            return [tuple(mat_vec(self.basis, z)) for z in zs]
+            return [tuple(Fraction(c, m) for c in y)
+                    for y in self._images(betas, limit)]
 
         return _cached(self, ("box", betas), compute, limit)
 
@@ -181,19 +217,26 @@ def pikhurko(s: LatticeSimplex) -> PikhurkoResult:
     For each interior lattice point the d+1 barycentric coordinates are
     sorted descendingly and the smallest one is dropped.  Ties among
     minimal coordinates are harmless: dropping any minimal coordinate
-    yields the same product.
+    yields the same product.  The coordinates share the denominator
+    D = |det E|: that of vertex j is n_j / D with the integer numerator
+    n_j = sign(det E) (w_j x - r_j) read off ``_barycentric_map``, so the
+    bound is k D^d / (d! n_1 ... n_d) over the d largest numerators.
     """
     pts = interior_points(s)
     k = len(pts)
     if k == 0:
         raise ApplicabilityError("bound requires at least one interior point")
     d = s.dim
-    full = Face(s, tuple(range(d + 1)))
+    w, r, det_e = _barycentric_map(s)
+    sign, denom = (1, det_e) if det_e > 0 else (-1, -det_e)
+    top = k * denom ** d
     per_point = {}
     for x in pts:
-        betas = sorted(barycentric(x, full), reverse=True)
-        bound = Fraction(k) / (factorial(d) * prod(betas[:d]))
-        per_point[x] = PointBound(tuple(betas), bound)
+        nums = sorted((sign * (wx - rj) for wx, rj in zip(mat_vec(w, x), r)),
+                      reverse=True)
+        betas = tuple(Fraction(n, denom) for n in nums)
+        bound = Fraction(top, factorial(d) * prod(nums[:d]))
+        per_point[x] = PointBound(betas, bound)
     nu = min(pb.bound for pb in per_point.values())
     check(volume(s) <= nu, "volume exceeds nu")
     return PikhurkoResult(per_point, nu)
@@ -239,24 +282,30 @@ def proof_trace(s: LatticeSimplex, f: Face) -> ProofTrace:
     phi = [tuple(Fraction(c, det_e) for c in w[j]) for j in f.vertex_indices]
     lat = Lattice(tuple(phi))
     y_set = lat.points_in_open_box(betas)
+    # The checks run on the integer images Y = m y of the box points, m the
+    # lattice's scale, against the box half-widths scaled to integers,
+    # B / q = betas: m y_i + m b_i > 0 iff q Y_i + m B_i > 0.
+    ys = lat._images(betas)
+    m = lat._scale
+    bs, q = scaled(betas)
     # o-symmetry and the half-space split along sum of coordinates.
-    y_lookup = set(y_set)
-    h_minus = [y for y in y_set if sum(y) < 0]
-    h_zero = [y for y in y_set if sum(y) == 0]
-    check(all(tuple(-c for c in y) in y_lookup for y in y_set),
+    y_lookup = set(ys)
+    h_minus = [y for y in ys if sum(y) < 0]
+    h_zero = [y for y in ys if sum(y) == 0]
+    check(all(tuple(-c for c in y) in y_lookup for y in ys),
           "box points are not o-symmetric")
-    check(len(y_set) == 2 * len(h_minus) + len(h_zero),
+    check(len(ys) == 2 * len(h_minus) + len(h_zero),
           "box points do not split evenly across the hyperplane")
-    check(len(h_zero) == 1 and all(c == 0 for c in h_zero[0]),
+    check(len(h_zero) == 1 and not any(h_zero[0]),
           "the origin is not the only box point on the hyperplane")
     # Shifting the negative-side points by b lands them strictly inside
     # the standard simplex (positive coordinates, coordinate sum < 1).
     for y in h_minus:
-        shifted = [yc + bc for yc, bc in zip(y, betas)]
-        check(all(c > 0 for c in shifted) and sum(shifted) < 1,
+        shifted = [q * yc + m * bc for yc, bc in zip(y, bs)]
+        check(all(c > 0 for c in shifted) and sum(shifted) < q * m,
               "a shifted box point is not inside the standard simplex")
     k = len(interior_points(s))
-    check(len(y_set) <= 2 * k + 1, "more than 2k+1 box points")
+    check(len(ys) <= 2 * k + 1, "more than 2k+1 box points")
     return ProofTrace(lat, betas, tuple(y_set), len(h_minus), len(h_zero))
 
 

@@ -104,8 +104,18 @@ def cmd_construct(args):
     else:  # lift
         base = _read_simplices(args.input)[0]
         s = lift(base, args.k)
-    sys.stdout.write(format_simplex(s))
-    print(f"# volume = {_rat(volume(s))}")
+    # The whole text is built before any of it is printed: Python refuses
+    # to print an integer of more digits than its limit, which only a huge
+    # --k reaches (--dim stops at 14).
+    try:
+        text = f"{format_simplex(s)}# volume = {_rat(volume(s))}\n"
+    except ValueError:
+        raise UsageError(
+            f"latticebound construct: argument --k: the simplex has a number"
+            f" of more than the {sys.get_int_max_str_digits()} digits Python"
+            f" prints; choose a smaller --k"
+        ) from None
+    sys.stdout.write(text)
     return EXIT_OK
 
 

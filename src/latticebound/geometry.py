@@ -19,14 +19,16 @@ The enumeration is a recursive coordinate sweep driven by
 Fourier-Motzkin bounds, so it never scans full bounding boxes (those
 explode doubly exponentially for the simplices this library cares
 about).  The sweep runs on integer rows, as in the integer elimination
-step of Pugh's Omega test: each row is scaled once to integers by
-``exact.scaled``, a strict row a.x < b becomes a.x <= b - 1, every row
-is divided by the gcd of its coefficients with the right-hand side
-floored, an equality is substituted rather than paired, and the bounds
-of each coordinate are floor divisions, so neither the elimination nor
-the sweep does ``Fraction`` arithmetic.  Each elimination step splits
-its rows by the sign of the eliminated coefficient once, and that split
-is the level the sweep reads for the coordinate.
+step of Pugh's Omega test: ``integer_points`` scales each rational row
+once to integers by ``exact.scaled``, a face query takes ``hrep``'s
+integer rows as they are, a strict row a.x < b becomes a.x <= b - 1,
+every row is divided by the gcd of its coefficients with the right-hand
+side floored, an equality is substituted rather than paired, and the
+bounds of each coordinate are floor divisions, so neither the
+elimination nor the sweep does ``Fraction`` arithmetic.  Each
+elimination step splits its rows by the sign of the eliminated
+coefficient once, and that split is the level the sweep reads for the
+coordinate.
 
 ``qualifying_facets``, the facets with exactly one relative-interior
 lattice point, lives here as a face query, and ``bounds`` re-exports it.
@@ -180,13 +182,19 @@ def integer_points(rows, nvars, limit=None):
     it always does on an unbounded region with an integer point.
     """
     _check_limit(limit)
+    return _sweep(_system(rows), nvars, limit)
+
+
+def _sweep(system, nvars, limit):
+    """The integer points of an integer system (None: no points), as
+    ``integer_points`` returns them."""
     # levels[v]: the rows of the system in x_0..x_v that bound x_v, as
     # ``_eliminate_last`` splits them.  A row with no x_v term needs no
     # check: the elimination copies it, or a tighter row with its normal,
     # into the system in x_0..x_{v-1}, whose rows every prefix reaching
     # level v satisfies (the system in x_0 keeps no constant rows).  x_0 is
     # eliminated too, so crossed bounds on x_0 return [] before the sweep.
-    system, levels = _system(rows), []
+    levels = []
     while system is not None and len(levels) < nvars:
         upper, lower, system = _eliminate_last(system)
         levels.append((upper, lower))
@@ -473,18 +481,19 @@ def hrep(s: LatticeSimplex) -> HalfspaceSystem:
 def _relint(s: LatticeSimplex, idx: tuple, limit) -> list[tuple[int, ...]]:
     """Lattice points in the relative interior of the face of s with the
     vertex indices idx: the facets opposite its vertices are strict, the
-    facets through it are equalities.  Computed once per face.
+    facets through it are equalities.  The integer system is built from
+    ``hrep``'s rows and handed to the sweep.  Computed once per face.
     """
     def compute():
         h = hrep(s)
-        rows = []
+        system = {}
         for j, (aj, bj) in enumerate(zip(h.a, h.b)):
             if j in idx:
-                rows.append((aj, bj, True))
+                _add_row(system, aj, bj - 1)
             else:
-                rows.append((aj, bj, False))
-                rows.append((tuple(-c for c in aj), -bj, False))
-        return integer_points(rows, s.dim, limit=limit)
+                _add_row(system, aj, bj)
+                _add_row(system, tuple(-c for c in aj), -bj)
+        return _sweep(system, s.dim, limit)
 
     return _cached(s, ("relint", idx), compute, limit)
 

@@ -95,10 +95,11 @@ class TestFacetBound:
         for name in calls:
             monkeypatch.setattr(bounds, name, counting(name))
         analyze_simplex(zpw_simplex(3, 2))
-        # pikhurko: one barycentric per interior point (2); the facet
-        # bound: one relint query and one barycentric per qualifying
-        # facet (2), which the proof trace of the best one reuses
-        assert calls == {"barycentric": 4, "relint_points": 2}
+        # the facet bound: one relint query and one barycentric per
+        # qualifying facet (2), which the proof trace of the best one
+        # reuses; pikhurko reads the integer barycentric map, not
+        # barycentric
+        assert calls == {"barycentric": 2, "relint_points": 2}
 
     def test_proof_trace_raises_the_facet_bound_errors(self):
         s = zpw_simplex(3, 1)

@@ -348,6 +348,25 @@ class TestUsage:
         assert code == EXIT_OK and err == ""
         assert out.startswith("14\n") and "# volume = " in out
 
+    def test_k_past_the_printed_digits_is_usage(self, capsys):
+        # at d = 14 the volume (k+1)(s_14 - 1)^2/14! of zpw passes the
+        # 4300 digits Python prints; nothing is printed before the error
+        k = str(10 ** 1000)
+        code, out, err = run(["construct", "zpw", "--dim", "14", "--k", k],
+                             capsys=capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--k" in err and "4300 digits" in err
+        assert "Traceback" not in err
+
+    def test_huge_k_at_dimension_3_prints(self, capsys):
+        k = 10 ** 1000
+        code, out, err = run(["construct", "zpw", "--dim", "3", "--k", str(k)],
+                             capsys=capsys)
+        assert code == EXIT_OK and err == ""
+        assert out.startswith("3\n")
+        assert f"# volume = {6 * (k + 1)}\n" in out
+
     @pytest.mark.parametrize("argv", OUT_OF_RANGE)
     def test_out_of_range_is_usage(self, capsys, argv, sample_census_path):
         argv = [sample_census_path if a == "CENSUS" else a for a in argv]

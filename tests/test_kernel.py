@@ -161,26 +161,31 @@ def test_equality_is_substituted(monkeypatch):
     """A facet's equality with a nonzero last coefficient removes a row.
 
     Substitution emits one row per other row, so the first elimination of
-    the relint system drops at least the two rows of the equality.
+    the relint system drops at least the two rows of the equality.  The
+    face query hands its integer system straight to the sweep, which is
+    where it is recorded.
     """
     s = zpw_simplex(3, 2)
     seen = []
+    sweep = geometry._sweep
 
-    def recording(rows, nvars, limit=None):
-        seen.append((list(rows), nvars))
-        return integer_points(rows, nvars, limit=limit)
+    def recording(system, nvars, limit):
+        seen.append((dict(system), nvars))
+        return sweep(system, nvars, limit)
 
-    monkeypatch.setattr(geometry, "integer_points", recording)
+    monkeypatch.setattr(geometry, "_sweep", recording)
     substituted = 0
     for f in facets(s):
         pts = relint_points(f)
-        rows, nvars = seen.pop()
+        system, nvars = seen.pop()
+        rows = [(a, b, False) for a, b in system.items()]
         assert pts == fm_oracle.integer_points(rows, nvars)
-        eq = [a for a, _, strict in rows if not strict]
+        eq = [a for a, b in system.items()
+              if system.get(tuple(-c for c in a)) == -b]
         if eq[0][-1] != 0:
             substituted += 1
-            _, _, out = _eliminate_last(_system(rows))
-            assert len(out) <= len(rows) - 2
+            _, _, out = _eliminate_last(system)
+            assert len(out) <= len(system) - 2
     assert substituted == 2
 
 
