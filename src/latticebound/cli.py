@@ -37,8 +37,10 @@ def _int_in_range(low, high=None):
         try:
             value = int(text)
         except ValueError:
+            from .text import _int_error
+
             raise argparse.ArgumentTypeError(
-                f"expected an integer, got {text!r}"
+                _int_error(text, f"expected an integer, got {text!r}")
             ) from None
         if value < low:
             raise argparse.ArgumentTypeError(
@@ -346,12 +348,15 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-        cap = getattr(args, "cap", None)
-        if cap is not None and cap < 2 * (args.k + 1):
-            raise UsageError(
-                f"{parser.prog} {args.command}: argument --cap: must be at"
-                f" least 2(k+1) = {2 * (args.k + 1)}, got {cap}"
-            )
+        if hasattr(args, "cap"):  # the triangle census of survey2d, verify
+            from .survey import _census_cap
+
+            try:
+                _census_cap(args.k, args.cap)
+            except ValueError as exc:
+                flag = "--k" if args.cap is None else "--cap"
+                raise UsageError(f"{parser.prog} {args.command}: argument"
+                                 f" {flag}: {exc}") from None
         return args.func(args)
     except SystemExit as exc:  # --help; argparse's errors raise UsageError
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK

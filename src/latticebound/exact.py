@@ -140,14 +140,15 @@ def _xgcd(a, b) -> tuple[int, int, int]:
     return x, s, (x - s * a) // b if b else 0
 
 
-def _hnf_column(h, col, top=None) -> None:
+def _hnf_column(h, col, top) -> None:
     """Bring column ``col`` of the integer rows h into Hermite form, with
-    its pivot in row ``top`` (``col`` when not given).
+    its pivot in row ``top``.
 
     In ``hnf``, top is col and the columns before it are already in
-    Hermite form in rows 0..col-1; with top 0 the rows are any lattice
-    basis and the step splits off one pivot row.  The first row from
-    ``top`` down that is nonzero in the column becomes the pivot row, and
+    Hermite form in rows 0..col-1; with top 0 (``unimodular._tables``)
+    the rows are any lattice basis and the step splits off one pivot row.
+    The first row from ``top`` down that is nonzero in the column becomes
+    the pivot row, and
     each later nonzero row is combined with it once: the extended gcd
     g = s a + t c of their entries a, c gives the unimodular step
     (P, R) -> (s P + t R, (a/g) R - (c/g) P), which leaves g in the pivot
@@ -156,8 +157,6 @@ def _hnf_column(h, col, top=None) -> None:
     Rows are replaced, never changed in place, so a shallow copy of h
     may share its rows with h.
     """
-    if top is None:
-        top = col
     for i in range(top, len(h)):
         if h[i][col]:
             break
@@ -191,11 +190,9 @@ def hnf(m) -> list[list[int]]:
     positive diagonal and every entry above a pivot reduced into
     [0, pivot).  This normalization makes h the unique representative of
     the left coset of m, which is what canonical forms rely on.  Entries
-    must be ``int``s (a float or ``Fraction`` raises).  A 2×2 matrix
-    [[a, b], [c, d]] has the closed form [[g, (s b + t d) mod q], [0, q]],
-    with g = gcd(a, c) = s a + t c and q = |ad - bc|/g; any other shape is
-    reduced one column at a time by ``_hnf_column``.  The argument is not
-    changed.
+    must be ``int``s (a float or ``Fraction`` raises).  Every shape is
+    reduced one column at a time by ``_hnf_column``, which raises on a
+    column with no pivot (as in a wide matrix).  m is not changed.
     """
     if len(set(map(len, m))) != 1:
         raise LinAlgError("matrix is empty or ragged")
@@ -203,19 +200,8 @@ def hnf(m) -> list[list[int]]:
         h = [list(map(index, row)) for row in m]
     except TypeError:
         raise LinAlgError("hnf requires integer entries") from None
-    n, cols = len(h), len(h[0])
-    if cols > n:
-        raise LinAlgError("matrix cannot have full column rank")
-    if n == cols == 2:
-        (a, b), (c, d) = h
-        block_det = a * d - b * c
-        if not block_det:
-            raise LinAlgError("matrix is rank deficient")
-        g, s, t = _xgcd(a, c)
-        q = abs(block_det) // g
-        return [[g, (s * b + t * d) % q], [0, q]]
-    for col in range(cols):
-        _hnf_column(h, col)
+    for col in range(len(h[0])):
+        _hnf_column(h, col, col)
     return h
 
 

@@ -38,6 +38,15 @@ from math import gcd, isqrt
 from .geometry import LatticeSimplex, _frozen, check, interior_points, volume
 
 
+# The largest cap a census takes.  The tables of ``_pick_triples`` grow
+# with 2 cap, and so do the number and size of the triangles that are
+# cross-checked.  At this cap, on a 2-vCPU VM with Python 3.11, a census
+# peaks at about 155 MB RSS (k near 1000, whose triangles keep their
+# interior points) and takes at most about 6 s (k = 0, whose 2 cap + 1
+# classes are each cross-checked by a sweep).
+MAX_CAP = 2048
+
+
 @_frozen
 class TriangleCensus:
     k: int
@@ -96,6 +105,16 @@ def _maximizers(reps):
     return max_area, tuple(t for t, a in zip(reps, areas) if a == max_area)
 
 
+def _census_cap(k: int, cap: int | None) -> int:
+    """``cap``, or 4(k+1) when it is None, checked against 2(k+1)..MAX_CAP."""
+    cap = 4 * (k + 1) if cap is None else cap
+    if cap < 2 * (k + 1):
+        raise ValueError(f"must be at least 2(k+1), got {cap}")
+    if cap > MAX_CAP:
+        raise ValueError(f"the census cap must be at most {MAX_CAP}")
+    return cap
+
+
 def enumerate_triangles(k: int, cap: int | None = None, *,
                         one_relint_edge: bool = False) -> TriangleCensus:
     """All lattice triangles with k interior points and area <= cap.
@@ -105,14 +124,11 @@ def enumerate_triangles(k: int, cap: int | None = None, *,
     exceptional area-9/2 maximizer.  With ``one_relint_edge``, only the
     classes with an edge with exactly one relative-interior lattice point:
     ``filter_one_relint_facet`` of the whole census, with no triangle of
-    another class built.
+    another class built.  The cap is at most ``MAX_CAP``.
     """
     if k < 0:
         raise ValueError("need k >= 0")
-    if cap is None:
-        cap = 4 * (k + 1)
-    if cap < 2 * (k + 1):
-        raise ValueError("cap must be at least 2(k+1)")
+    cap = _census_cap(k, cap)
     reps = tuple(LatticeSimplex([(0, 0), (a, 0), (b, c)])
                  for a, b, c in sorted(_pick_triples(k, cap, one_relint_edge)))
     for tri in reps:

@@ -12,6 +12,8 @@ which live in ``io``.
 
 from __future__ import annotations
 
+import sys
+
 from .geometry import DegeneracyError, LatticeSimplex, _cached, _frozen
 
 
@@ -20,6 +22,16 @@ class ParseError(ValueError):
         loc = f"line {line}: " if line is not None else ""
         super().__init__(f"{loc}{message}")
         self.line = line
+
+
+def _int_error(text: str, otherwise: str) -> str:
+    """The error for the tokens of ``text``, which ``int`` refused: that one
+    has more digits than Python reads (not echoed), or else ``otherwise``."""
+    limit = sys.get_int_max_str_digits()
+    digits = (t[1:] if t[:1] in "+-" else t for t in text.split())
+    if any(d.isdecimal() and len(d) > limit for d in digits):
+        return f"integer of more than the {limit} digits Python reads"
+    return otherwise
 
 
 @_frozen
@@ -43,8 +55,8 @@ def parse_simplices(text: str) -> list[SimplexRecord]:
         try:
             dim = int(content.strip())
         except ValueError:
-            raise ParseError(f"expected a dimension, got {content.strip()!r}",
-                             dim_no)
+            raise ParseError(_int_error(content, "expected a dimension, got "
+                                        f"{content.strip()!r}"), dim_no)
         if dim < 1:
             raise ParseError("dimension must be >= 1", dim_no)
         label = comment.strip() or None
@@ -64,7 +76,8 @@ def parse_simplices(text: str) -> list[SimplexRecord]:
             try:
                 verts.append(tuple(int(p) for p in parts))
             except ValueError:
-                raise ParseError(f"malformed integer in {stripped!r}", no)
+                raise ParseError(_int_error(
+                    stripped, f"malformed integer in {stripped!r}"), no)
             if len(verts) == dim + 1:
                 break
         if len(verts) != dim + 1:

@@ -71,9 +71,10 @@ def _tables(h):
     there already.  ``pivot(S, j)`` needs the basis of S, which the calls
     along any path to S have built.  For |S| = d-2, with a, b the two
     columns left, ``end(S, a, b)`` is (p, x, q), where [[p, x], [0, q]]
-    is the ``hnf`` of those two columns, a first.
+    is the Hermite form of those two columns, a first: p and x mod q are
+    read off ``pivot(S, a)``, and ±q off the one basis row of S ∪ {a}.
     """
-    below, pivots, ends = {0: h}, {}, {}
+    below, pivots = {0: h}, {}
 
     def pivot(S, j):
         row = pivots.get((S, j))
@@ -85,12 +86,9 @@ def _tables(h):
         return row
 
     def end(S, a, b):
-        e = ends.get((S, a))
-        if e is None:
-            r, t = below[S]
-            (p, x), (_, q) = hnf([[r[a], r[b]], [t[a], t[b]]])
-            ends[S, a] = e = p, x, q
-        return e
+        row = pivot(S, a)
+        q = abs(below[S | 1 << a][0][b])
+        return row[a], row[b] % q, q
 
     return pivot, end
 
@@ -232,16 +230,15 @@ def canonical_form(s: LatticeSimplex) -> CanonicalForm:
     Each base's orderings share their column eliminations through
     ``_tables``, built on first use: the pivot row of column j after a
     set S of columns is computed once per (S, j), whatever order S was
-    eliminated in, and ``hnf`` runs on the 2×2 block that the last two
-    columns leave, once per (S, order) that a walk reaches.  ``_walk``
-    searches the orderings by branch and bound on the form's first row,
-    against the least form so far: it reduces the pivot rows of each
-    path by the next pivot as it goes, cuts every ordering whose first
-    entries already exceed the minimum's (or equal them, once the
-    minimum's other rows are the least any form can have), and finishes
-    the rows with ``_leaf`` only for the orderings left.  By uniqueness
-    of the HNF the result is the least over the class-respecting
-    orderings.  Computed once per simplex.
+    eliminated in; the last two columns are read off the step for the
+    first of them.  ``_walk`` searches the orderings by branch and bound
+    on the form's first row, against the least form so far: it reduces
+    the pivot rows of each path by the next pivot as it goes, cuts every
+    ordering whose first entries already exceed the minimum's (or equal
+    them, once the minimum's other rows are the least any form can
+    have), and finishes the rows with ``_leaf`` only for the orderings
+    left.  By uniqueness of the HNF the result is the least over the
+    class-respecting orderings.  Computed once per simplex.
     """
     def compute():
         d, verts = s.dim, s.vertices

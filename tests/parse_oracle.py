@@ -6,8 +6,20 @@ must give the same records, or raise the same error class with the same
 message and ``line``.
 """
 
+import re
+import sys
+
 from latticebound.geometry import DegeneracyError
 from latticebound.text import ParseError, SimplexRecord
+
+
+def _int_error(tokens, otherwise):
+    """The digit-limit message when a token is a decimal integer longer
+    than Python reads, else ``otherwise``."""
+    limit = sys.get_int_max_str_digits()
+    if any(re.fullmatch(r"[+-]?\d{%d,}" % (limit + 1), t) for t in tokens):
+        return f"integer of more than the {limit} digits Python reads"
+    return otherwise
 
 
 def parse_simplices(text):
@@ -25,8 +37,9 @@ def parse_simplices(text):
         try:
             dim = int(content.strip())
         except ValueError:
-            raise ParseError(f"expected a dimension, got {content.strip()!r}",
-                             dim_line)
+            raise ParseError(_int_error(
+                [content.strip()],
+                f"expected a dimension, got {content.strip()!r}"), dim_line)
         if dim < 1:
             raise ParseError("dimension must be >= 1", dim_line)
         label = comment.strip() or None
@@ -48,7 +61,8 @@ def parse_simplices(text):
             try:
                 verts.append(tuple(int(p) for p in parts))
             except ValueError:
-                raise ParseError(f"malformed integer in {stripped!r}", i + 1)
+                raise ParseError(_int_error(
+                    parts, f"malformed integer in {stripped!r}"), i + 1)
             i += 1
         if len(verts) != dim + 1:
             raise ParseError(

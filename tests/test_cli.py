@@ -359,6 +359,50 @@ class TestUsage:
         assert "--k" in err and "4300 digits" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["survey2d", "--k", "9" * 5000],
+        ["construct", "zpw", "--dim", "3", "--k", "9" * 5000],
+    ])
+    def test_k_past_the_digit_limit_is_usage(self, capsys, argv):
+        # a well-formed --k longer than Python reads is not echoed
+        code, out, err = run(argv, capsys=capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err == (f"error: latticebound {argv[0]}: argument --k: integer"
+                       f" of more than the 4300 digits Python reads\n")
+
+    def test_coordinate_past_the_digit_limit_is_usage(self, capsys,
+                                                       monkeypatch):
+        code, out, err = run(["count", "interior"],
+                             stdin=f"2\n0 0\n1 0\n0 {'9' * 5000}\n",
+                             capsys=capsys, monkeypatch=monkeypatch)
+        assert code == EXIT_USAGE and out == ""
+        assert err == ("error: line 4: integer of more than the 4300 digits"
+                       " Python reads\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["survey2d", "--k", "100000"], "at most 2048"),
+        (["survey2d", "--k", "1", "--cap", "1000000000"], "at most 2048"),
+        (["verify", "main2d", "--k", "1", "--cap", "1000000000"],
+         "at most 2048"),
+        # 2(k+1) has more digits than Python prints: it is not printed
+        (["survey2d", "--k", "9" * 4300, "--cap", "5"],
+         "at least 2(k+1), got 5"),
+    ])
+    def test_census_cap_out_of_range_is_usage(self, capsys, monkeypatch,
+                                              argv, message):
+        # the cap the census would use, given or 4(k+1), is checked
+        # before any census table is built
+        from latticebound import survey
+
+        def built(*args):
+            raise AssertionError("a census was built")
+
+        monkeypatch.setattr(survey, "_pick_triples", built)
+        code, out, err = run(argv, capsys=capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert argv[-2] in err and message in err
+
     def test_huge_k_at_dimension_3_prints(self, capsys):
         k = 10 ** 1000
         code, out, err = run(["construct", "zpw", "--dim", "3", "--k", str(k)],

@@ -216,7 +216,7 @@ class TestHnf:
         h = [list(r) for r in m]
         shared = h[:]
         for col in range(3):
-            _hnf_column(h, col)
+            _hnf_column(h, col, col)
         assert shared == m
         assert h == hnf(m)
 
@@ -392,5 +392,5 @@ def test_adjugate_times_matrix_is_det(m):
 @example([[2, 4], [1, 2]])
 @example([[0, 1], [1, 0]])
 def test_adjugate_matches_cofactor_oracle(m):
-    # the 2x2 closed form and the Gauss-Jordan pass alike
+    # every size, 2x2 included, takes the one Gauss-Jordan pass
     assert _adjugate(m) == hrep_oracle.adjugate(m)

@@ -410,6 +410,7 @@ class TestCachedFacts:
         monkeypatch.setattr(geometry, "_edge_adjugate", recomputed)
         monkeypatch.setattr(geometry, "integer_points", recomputed)
         monkeypatch.setattr(unimodular, "hnf", recomputed)
+        monkeypatch.setattr(unimodular, "_hnf_column", recomputed)
         assert (hrep(t), interior_points(t),
                 [relint_points(f) for f in facets(t)],
                 canonical_form(t)) == facts

@@ -74,6 +74,21 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_simplices("two\n0 0\n1 0\n0 1\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("2\n0 0\n1 {big}\n0 1\n", 3),
+        ("{big}\n0 0\n1 0\n0 1\n", 1),
+    ], ids=["coordinate", "dimension"])
+    def test_integer_past_the_digit_limit(self, text, line):
+        # a well-formed integer longer than Python reads: said in one short
+        # line, without echoing its digits, as the oracle says it
+        text = text.format(big="9" * 5000)
+        with pytest.raises(ParseError) as exc:
+            parse_simplices(text)
+        assert str(exc.value) == (
+            f"line {line}: integer of more than the 4300 digits Python reads")
+        assert (_outcome(parse_simplices, text)
+                == _outcome(parse_oracle.parse_simplices, text))
+
     def test_degenerate_rejected(self):
         with pytest.raises(ParseError):
             parse_simplices("2\n0 0\n1 1\n2 2\n")
@@ -229,7 +244,7 @@ class TestOutlookReport:
 
     def test_each_fact_computed_once(self, sample_census_path, monkeypatch):
         # one canonical form per record, shared by ingest and report: the
-        # HNFs of each record's form computed once on a fresh copy;
+        # column steps of each record's form computed once on a fresh copy;
         # interior points once per record, each facet's relint points
         # once, one box enumeration per record with a facet bound
         from latticebound import bounds, geometry, unimodular
@@ -247,15 +262,15 @@ class TestOutlookReport:
         points = counting("integer_points", geometry.integer_points)
         monkeypatch.setattr(geometry, "integer_points", points)
         monkeypatch.setattr(bounds, "integer_points", points)
-        monkeypatch.setattr(unimodular, "hnf",
-                            counting("hnf", unimodular.hnf))
+        monkeypatch.setattr(unimodular, "_hnf_column",
+                            counting("column", unimodular._hnf_column))
         records = ingest_census(sample_census_path, 2)
         report = outlook_report(records)
         assert report["total"] == 10
-        once = calls["hnf"]
+        once = calls["column"]
         for s in records:
             unimodular.canonical_form(LatticeSimplex(s.vertices))
-        assert 0 < once == calls["hnf"] - once
+        assert 0 < once == calls["column"] - once
         assert calls["integer_points"] <= 64
 
     def test_vdc_reuses_the_proof_trace_box(self, sample_census_path,

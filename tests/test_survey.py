@@ -192,6 +192,19 @@ class TestEnumerateTriangles:
         with pytest.raises(ValueError):
             enumerate_triangles(-1)
 
+    def test_cap_budget(self, monkeypatch):
+        # past MAX_CAP, given or as the default 4(k+1), no table is built
+        def built(*args):
+            raise AssertionError("a census was built")
+
+        monkeypatch.setattr(survey, "_pick_triples", built)
+        with pytest.raises(ValueError, match="at most 2048"):
+            enumerate_triangles(1, cap=survey.MAX_CAP + 1)
+        with pytest.raises(ValueError, match="at most 2048"):
+            enumerate_triangles(survey.MAX_CAP // 4)
+        with pytest.raises(ValueError, match="at most 2048"):
+            survey.verify_theorem_main_2d(1, cap=10 ** 9)
+
     @pytest.mark.parametrize("k,cap", [(0, 6), (1, 8), (2, 8)])
     def test_against_window_scan_oracle(self, k, cap):
         census = enumerate_triangles(k, cap=cap)

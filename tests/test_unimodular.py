@@ -132,6 +132,26 @@ def _work(s):
     return counts["orderings"], counts["leaves"]
 
 
+def _hermite_calls(monkeypatch, s):
+    """(hnf calls, column steps) that ``unimodular`` makes for the
+    canonical form of s; ``exact.hnf`` runs its own column steps."""
+    calls = [0, 0]
+    column = unimodular._hnf_column
+
+    def counting_hnf(m):
+        calls[0] += 1
+        return hnf(m)
+
+    def counting_column(*args):
+        calls[1] += 1
+        return column(*args)
+
+    monkeypatch.setattr(unimodular, "hnf", counting_hnf)
+    monkeypatch.setattr(unimodular, "_hnf_column", counting_column)
+    canonical_form(s)
+    return tuple(calls)
+
+
 def _generic_simplex(d, seed):
     rng = random.Random(seed)
     while True:
@@ -168,11 +188,13 @@ def _simplex_verts(dims):
 small_simplex = _simplex_verts(st.integers(1, 4))
 wide_simplex = _simplex_verts(st.integers(3, 5))
 
-# canonical_form calls hnf once per base at d = 1, twice at d = 2 and,
-# at d >= 3, once per (set of d-2 columns, first of the other two) that a
-# walk reaches: once on a generic simplex, whose vertices are each in a
-# class of their own, so that one ordering is left
-HNF_CALLS = {1: 2, 2: 6, 3: 1, 4: 1, 5: 1, 6: 1}
+# (hnf calls, column steps) of one canonical_form: hnf once per base at
+# d = 1 and twice at d = 2, with no column step of its own; at d >= 3 no
+# hnf, and one column step per (set S of columns, next column j) that a
+# walk reaches, |S| <= d-2: d-1 of them on a generic simplex, whose
+# vertices are each in a class of their own, so that one ordering is left
+FORM_WORK = {1: (2, 0), 2: (6, 0), 3: (0, 2), 4: (0, 3), 5: (0, 4),
+             6: (0, 5)}
 
 # a 5-simplex of normalized volume 45 whose six vertices share one class
 ONE_CLASS_D5 = ((2, 0, 2, 0, -1), (0, 0, -1, 1, -2), (2, -1, 0, 0, -1),
@@ -370,28 +392,16 @@ class TestSharedPrefixForm:
         forms = [_form(s) for s in run]
         assert forms == [_restricted_form(s) for s in run]
 
-    @pytest.mark.parametrize("d", sorted(HNF_CALLS))
+    @pytest.mark.parametrize("d", sorted(FORM_WORK))
     def test_hnf_count(self, d, monkeypatch):
-        calls = []
-
-        def counting(m):
-            calls.append(1)
-            return hnf(m)
-
-        monkeypatch.setattr(unimodular, "hnf", counting)
-        canonical_form(_generic_simplex(d, d))
-        assert len(calls) == HNF_CALLS[d]
+        assert _hermite_calls(monkeypatch, _generic_simplex(d, d)) == (
+            FORM_WORK[d])
 
     def test_hnf_runs_on_the_trailing_block(self, monkeypatch):
-        shapes = set()
-
-        def recording(m):
-            shapes.add((len(m), len(m[0])))
-            return hnf(m)
-
-        monkeypatch.setattr(unimodular, "hnf", recording)
-        canonical_form(_generic_simplex(6, 0))
-        assert shapes == {(2, 2)}
+        # the walk calls no hnf at d >= 3: the last two columns are read
+        # off the column step for the first of them
+        s = _generic_simplex(6, 0)
+        assert _hermite_calls(monkeypatch, s)[0] == 0
 
     @settings(max_examples=80, deadline=None)
     @given(square_matrix, st.data())
@@ -418,27 +428,14 @@ class TestSharedPrefixForm:
 
     def test_one_class_shares_each_step(self, monkeypatch):
         # 2·Δ_6 is one class and every form of it is 2I, so the walk
-        # reaches every (S, j) with |S| <= 3 from each of the 7 bases:
-        # one column step per (S, j), 156 of them, and one 2x2 hnf per
-        # (S, first of the last two), 30 of them
-        calls = {"column": 0, "hnf": 0}
-        column = unimodular._hnf_column
-
-        def counting_column(*args):
-            calls["column"] += 1
-            return column(*args)
-
-        def counting_hnf(m):
-            calls["hnf"] += 1
-            return hnf(m)
-
-        monkeypatch.setattr(unimodular, "_hnf_column", counting_column)
-        monkeypatch.setattr(unimodular, "hnf", counting_hnf)
+        # reaches every (S, j) with |S| <= 4 from each of the 7 bases:
+        # one column step per (S, j), 156 with |S| <= 3 and 30 more that
+        # give the last two columns, and no hnf
         s = LatticeSimplex([tuple(2 * x for x in v)
                             for v in _unit_simplex(6).vertices])
+        assert _hermite_calls(monkeypatch, s) == (0, 7 * 186)
         assert _form(s) == [[2 * (i == j) for j in range(6)]
                             for i in range(6)]
-        assert calls == {"column": 7 * 156, "hnf": 7 * 30}
 
     def test_one_class_d5(self):
         # 2·Δ_5 and conv(e_1, ..., e_5, -Σe_i) are one class, and the walk
